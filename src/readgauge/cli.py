@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import os
 import sys
 from typing import Optional
@@ -17,12 +18,13 @@ from . import data_files, registry, synth
 from .cky import Parser
 from .errors import (
     DuplicateId,
+    MalformedRow,
     MissingDoc,
     MissingFile,
     MissingScore,
     ReadgaugeError,
 )
-from .evaluation import cross_validate, f1_scores, size_ablation
+from .evaluation import cross_validate, size_ablation
 from .grammar import load_grammar
 from .labeling import as_classes, load_difficulty_order
 from .lexicons import load_norms, load_senses
@@ -45,6 +47,26 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _csv_reader(fh, path: str, columns: tuple[str, ...]) -> csv.DictReader:
+    """Rows of a CSV whose header must name every column; short rows read as ''."""
+    reader = csv.DictReader(fh, restval="")
+    missing = [c for c in columns if c not in (reader.fieldnames or [])]
+    if missing:
+        raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
+    return reader
+
+
+def _float_field(row: dict, column: str, path: str, line: int) -> float:
+    """``row[column]`` as a finite float, else ``MalformedRow`` naming the line."""
+    try:
+        value = float(row[column])
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise MalformedRow(f"{path}: line {line}: {column} {row[column]!r} is not a finite number")
+
+
 def ingest_corpus(manifest_path: str) -> list[Document]:
     """Load, segment and tokenize every document named by a manifest CSV."""
     if not os.path.isfile(manifest_path):
@@ -53,7 +75,7 @@ def ingest_corpus(manifest_path: str) -> list[Document]:
     docs: list[Document] = []
     seen: set[str] = set()
     with open(manifest_path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = _csv_reader(fh, manifest_path, ("doc_id", "path", "class_name"))
         for row in reader:
             doc_id = row["doc_id"].strip()
             if doc_id in seen:
@@ -65,8 +87,8 @@ def ingest_corpus(manifest_path: str) -> list[Document]:
                 raise MissingDoc(full)
             with open(full, encoding="utf-8") as doc_fh:
                 text = doc_fh.read()
-            age_low = float(row["age_low"]) if row.get("age_low") else None
-            age_high = float(row["age_high"]) if row.get("age_high") else None
+            age_low = _float_field(row, "age_low", manifest_path, reader.line_num) if row.get("age_low") else None
+            age_high = _float_field(row, "age_high", manifest_path, reader.line_num) if row.get("age_high") else None
             label = RawLabel(row["class_name"].strip(), age_low, age_high)
             docs.append(make_document(doc_id, text, label))
     return docs
@@ -79,13 +101,13 @@ def load_scores(path: str) -> dict[str, list[tuple[str, float]]]:
     scores: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
+        reader = _csv_reader(fh, path, ("doc_id", "score_name", "value"))
         for row in reader:
             key = (row["doc_id"].strip(), row["score_name"].strip())
             if key in seen:
                 raise DuplicateId(f"duplicate score row {key}")
             seen.add(key)
-            scores.setdefault(key[0], []).append((key[1], float(row["value"])))
+            scores.setdefault(key[0], []).append((key[1], _float_field(row, "value", path, reader.line_num)))
     return scores
 
 
@@ -156,23 +178,15 @@ def cmd_extract(args) -> int:
     feature_sets = parse_feature_sets(args.features)
     labels, _ = _labels_for(docs, args.difficulty_order)
     pipe = FeaturePipeline(PipelineConfig(feature_sets=feature_sets), resources)
-    if "word_types" in feature_sets:
-        pipe.fit_vocab_only = True
-        counts: dict[str, int] = {}
-        for doc in docs:
-            for tok in doc.word_tokens:
-                counts[tok.lowercased] = counts.get(tok.lowercased, 0) + 1
-        pipe.vocab = sorted(counts)
-    rows = []
-    names: Optional[list[str]] = None
-    for doc, label in zip(docs, labels):
-        feats = pipe._doc_vector(doc)
-        if names is None:
-            names = list(feats.keys())
-        rows.append([doc.doc_id, str(label)] + [_fmt(feats[n]) for n in names])
+    pipe.fit_vocab(docs)
+    X, names = pipe.matrix(docs)
+    rows = [
+        [doc.doc_id, str(label)] + [_fmt(x) for x in values]
+        for doc, label, values in zip(docs, labels, X.tolist())
+    ]
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "features.csv")
-    _atomic_write_csv(out_path, ["doc_id", "label"] + (names or []), rows)
+    _atomic_write_csv(out_path, ["doc_id", "label"] + list(names), rows)
     print(out_path)
     return 0
 

@@ -11,6 +11,8 @@ import csv
 import hashlib
 import os
 
+from .lexicons import PSYCHOLINGUISTIC_FEATURE_NAMES
+
 EASY_NOUNS = [
     "cat", "dog", "sun", "hat", "ball", "cup", "bed", "fish", "bird",
     "tree", "boy", "girl", "car", "box", "man", "lake", "road", "door",
@@ -44,20 +46,6 @@ TAG_LEXICON_FILE = "tag_lexicon.csv"
 NORMS_FILE = "norms.csv"
 SENSES_FILE = "senses.csv"
 DIFFICULTY_ORDER_FILE = "difficulty_order.txt"
-
-NORM_COLUMNS = [
-    "aoa_kuperman",
-    "aoa_kuperman_lemmas",
-    "aoa_bird_lemmas",
-    "aoa_bristol_lemmas",
-    "aoa_cortese_khanna_lemmas",
-    "mrc_familiarity",
-    "mrc_concreteness",
-    "mrc_imageability",
-    "mrc_colorado_meaningfulness",
-    "mrc_pavio_meaningfulness",
-    "mrc_aoa",
-]
 
 
 def _jitter(word: str, column: str, lo: float, hi: float) -> float:
@@ -114,7 +102,7 @@ def norms_rows() -> list[list[str]]:
     for w in words:
         easy = w in EASY_WORDS or w in DETERMINERS or w in PREPOSITIONS or w in CONJUNCTIONS
         row = [w]
-        for col in NORM_COLUMNS:
+        for col in PSYCHOLINGUISTIC_FEATURE_NAMES:
             if col.startswith("aoa"):
                 lo, hi = (3.0, 6.0) if easy else (10.0, 15.0)
             else:
@@ -156,7 +144,7 @@ def write_default_resources(out_dir: str) -> dict[str, str]:
     norms_path = os.path.join(out_dir, NORMS_FILE)
     with open(norms_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["word"] + NORM_COLUMNS)
+        writer.writerow(["word"] + PSYCHOLINGUISTIC_FEATURE_NAMES)
         writer.writerows(norms_rows())
     paths["norms"] = norms_path
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -24,7 +24,6 @@ class FoldPlan:
 class EvalReport:
     fold_weighted: list[float]
     fold_macro: list[float]
-    confusions: list[np.ndarray]
 
     @property
     def mean_weighted(self) -> float:
@@ -126,14 +125,12 @@ def cross_validate(
     n_classes: int,
     k: int = 5,
     seed: int = 7,
-    stratified: bool = True,
 ) -> EvalReport:
     """k-fold protocol: fit on the train folds only, score the held-out fold."""
     doc_ids = [d.doc_id for d in docs]
-    plan = kfold(doc_ids, labels, k=k, seed=seed, stratified=stratified)
+    plan = kfold(doc_ids, labels, k=k, seed=seed)
     fold_weighted: list[float] = []
     fold_macro: list[float] = []
-    confusions: list[np.ndarray] = []
     for fold in range(k):
         train_idx = [i for i, d in enumerate(docs) if plan.assignments[d.doc_id] != fold]
         test_idx = [i for i, d in enumerate(docs) if plan.assignments[d.doc_id] == fold]
@@ -144,8 +141,7 @@ def cross_validate(
         _, weighted, macro = f1_scores(truth, preds, n_classes)
         fold_weighted.append(weighted)
         fold_macro.append(macro)
-        confusions.append(confusion_matrix(truth, preds, n_classes))
-    return EvalReport(fold_weighted=fold_weighted, fold_macro=fold_macro, confusions=confusions)
+    return EvalReport(fold_weighted=fold_weighted, fold_macro=fold_macro)
 
 
 def _stratified_order(indices: list[int], labels: Sequence[int], rng: random.Random) -> list[int]:

@@ -2,17 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
 from typing import Optional, Sequence
 
-from .errors import MissingAges, UnknownClass
+from .errors import MissingAges, MissingFile, UnknownClass
 from .textcore import RawLabel
-
-
-@dataclass(frozen=True)
-class Target:
-    kind: str  # "classification" | "age_regression" | "ordered_regression"
-    value: float
 
 
 def as_classes(
@@ -62,5 +56,7 @@ def as_ordered_regression(
 
 def load_difficulty_order(path: str) -> list[str]:
     """One class name per line, easiest first."""
+    if not os.path.isfile(path):
+        raise MissingFile(path)
     with open(path, encoding="utf-8") as fh:
         return [line.strip() for line in fh if line.strip()]

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .textcore import Document
+from .textcore import Document, ratio
 
 MTLD_THRESHOLD = 0.72
 MTLD_MIN_TOKENS = 10
@@ -78,9 +78,6 @@ def surface_stats(doc: Document) -> SurfaceStats:
     mono = sum(1 for t in words if t.syllables == 1)
     long_words = sum(1 for t in words if t.char_count >= 7)
 
-    def ratio(num: float, den: float) -> float:
-        return num / den if den else 0.0
-
     return SurfaceStats(
         n_sentences=n_sentences,
         n_words=n_words,
@@ -119,9 +116,6 @@ def ttr_measures(doc: Document) -> dict[str, float]:
     tokens = [t.lowercased for t in doc.word_tokens]
     n = len(tokens)
     types = len(set(tokens))
-
-    def ratio(num: float, den: float) -> float:
-        return num / den if den else 0.0
 
     bilog = 0.0
     if n > 1 and types >= 1:

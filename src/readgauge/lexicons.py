@@ -6,12 +6,29 @@ import csv
 import logging
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import MalformedRow, MissingFile
 from .textcore import Document
 
 log = logging.getLogger(__name__)
+
+# One norm-table column and one feature per name.
+PSYCHOLINGUISTIC_FEATURE_NAMES = [
+    "aoa_kuperman",
+    "aoa_kuperman_lemmas",
+    "aoa_bird_lemmas",
+    "aoa_bristol_lemmas",
+    "aoa_cortese_khanna_lemmas",
+    "mrc_familiarity",
+    "mrc_concreteness",
+    "mrc_imageability",
+    "mrc_colorado_meaningfulness",
+    "mrc_pavio_meaningfulness",
+    "mrc_aoa",
+]
+
+SENSE_FEATURE_NAMES = ("senses_per_word", "hypernyms_per_word", "hyponyms_per_word")
 
 
 @dataclass(frozen=True)
@@ -113,7 +130,7 @@ def sense_features(doc: Document, senses: SenseTable) -> dict[str, float]:
     words = [t.lowercased for t in doc.word_tokens]
     n = len(words)
     if n == 0:
-        return {"senses_per_word": 0.0, "hypernyms_per_word": 0.0, "hyponyms_per_word": 0.0}
+        return dict.fromkeys(SENSE_FEATURE_NAMES, 0.0)
     totals = [0, 0, 0]
     for w in words:
         if w in senses.entries:
@@ -121,8 +138,4 @@ def sense_features(doc: Document, senses: SenseTable) -> dict[str, float]:
             totals[0] += s
             totals[1] += hyper
             totals[2] += hypo
-    return {
-        "senses_per_word": totals[0] / n,
-        "hypernyms_per_word": totals[1] / n,
-        "hyponyms_per_word": totals[2] / n,
-    }
+    return {name: total / n for name, total in zip(SENSE_FEATURE_NAMES, totals)}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -52,7 +52,6 @@ class LogisticConfig:
     l2: float = 1e-4
     epochs: int = 300
     lr: float = 1.0
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,6 @@ class SvmConfig:
     C: float = 1.0
     epochs: int = 500
     lr: float = 1.0
-    seed: int = 0
 
 
 # Exponential grid for tuning the SVM's C, 2^-5 .. 2^15.

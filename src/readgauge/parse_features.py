@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .cky import KBestList, ParseTree
 from .errors import EmptyKBest
-from .textcore import Document
+from .textcore import Document, ratio
 
 CLAUSE_LABELS = {"S", "SBAR", "SINV", "SQ"}
 WH_PHRASE_LABELS = {"WHNP", "WHPP", "WHADVP", "WHADJP"}
@@ -205,10 +205,6 @@ def syntactic_ratios(
     skipped sentences still count toward the sentence denominator. The
     ambiguity features average per-sentence values over ``kbest_lists``.
     """
-
-    def ratio(num: float, den: float) -> float:
-        return num / den if den else 0.0
-
     n_sentences = len(doc.sentences)
     totals = [constituent_counts(t) for t in doc_trees]
 

@@ -1,5 +1,8 @@
 """End-to-end pipeline: feature extraction + optional fusion + linear model.
 
+``fit_vocab`` and ``matrix`` are the single path from documents to a
+feature matrix: ``fit``, ``predict`` and the ``extract`` command all call
+them, so the columns of a features CSV are the columns a model is fit on.
 Fold-independent features are cached per document (they are pure functions
 of the text); everything fold-dependent — the word-type vocabulary, the
 scaler and the model — is fit inside ``fit`` from the training documents
@@ -8,13 +11,13 @@ only.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import models, registry
-from .errors import MissingScore
+from .errors import FeatureMismatch, MissingScore
 from .models import LinearModel, LogisticConfig, SvmConfig
 from .textcore import Document
 
@@ -25,8 +28,6 @@ MODEL_KINDS = ("svm", "logistic", "linear")
 class PipelineConfig:
     feature_sets: list[str]
     model: str = "svm"  # svm | logistic | linear (C=1 svm, no tuning)
-    svm_cfg: SvmConfig = field(default_factory=SvmConfig)
-    logistic_cfg: LogisticConfig = field(default_factory=LogisticConfig)
     seed: int = 7
 
 
@@ -80,46 +81,54 @@ class FeaturePipeline:
             feats = models.fuse(feats, self.scores[doc.doc_id])
         return feats
 
-    def _matrix(self, docs: Sequence[Document]) -> tuple[np.ndarray, tuple[str, ...]]:
+    def fit_vocab(self, docs: Sequence[Document]) -> None:
+        """Fit the word-type vocabulary (sorted lowercased word types of ``docs``).
+
+        A no-op unless ``word_types`` is among the feature sets.
+        """
+        if "word_types" in self.config.feature_sets:
+            self.vocab = sorted({tok.lowercased for doc in docs for tok in doc.word_tokens})
+
+    def matrix(self, docs: Sequence[Document]) -> tuple[np.ndarray, tuple[str, ...]]:
+        """Feature matrix of ``docs`` (one row each) and its column names.
+
+        Columns follow the first document's feature order; every document must
+        have exactly the same feature names, or ``FeatureMismatch`` is raised.
+        """
         rows = [self._doc_vector(d) for d in docs]
         if not rows:
             return np.zeros((0, 0)), ()
-        names = tuple(rows[0].keys())
+        names = tuple(rows[0])
+        first = rows[0].keys()
+        for doc, row in zip(docs, rows):
+            if row.keys() != first:
+                raise FeatureMismatch(
+                    f"doc {doc.doc_id!r} lacks {sorted(first - row.keys())} and adds "
+                    f"{sorted(row.keys() - first)} to the features of doc {docs[0].doc_id!r}"
+                )
         X = np.array([[r[n] for n in names] for r in rows], dtype=float)
         return X, names
 
     # -- fit / predict ------------------------------------------------------
 
     def fit(self, docs: Sequence[Document], labels: Sequence[int]) -> None:
-        if "word_types" in self.config.feature_sets:
-            counts: dict[str, int] = {}
-            for doc in docs:
-                for tok in doc.word_tokens:
-                    counts[tok.lowercased] = counts.get(tok.lowercased, 0) + 1
-            self.vocab = sorted(counts)
-        X, names = self._matrix(docs)
+        self.fit_vocab(docs)
+        X, names = self.matrix(docs)
         self.feature_names = names
         y = np.asarray(labels, dtype=int)
         if self.config.model == "logistic":
-            self.model = models.train_logistic(X, y, self.config.logistic_cfg, names)
-        elif self.config.model == "svm":
-            cfg = self.config.svm_cfg
-            c = self._tune_c(X, y, cfg)
-            self.model = models.train_linear_svm(
-                X, y, SvmConfig(C=c, epochs=cfg.epochs, lr=cfg.lr, seed=cfg.seed), names
-            )
-        else:  # "linear": the C=1 linear SVM without tuning
-            self.model = models.train_linear_svm(X, y, SvmConfig(C=1.0), names)
+            self.model = models.train_logistic(X, y, LogisticConfig(), names)
+        else:  # "linear" is the C=1 linear SVM without tuning
+            c = self._tune_c(X, y) if self.config.model == "svm" else 1.0
+            self.model = models.train_linear_svm(X, y, SvmConfig(C=c), names)
 
-    def _tune_c(self, X: np.ndarray, y: np.ndarray, cfg: SvmConfig) -> float:
+    def _tune_c(self, X: np.ndarray, y: np.ndarray) -> float:
         # Too few samples to cross-validate the grid meaningfully.
         if len(y) < 10:
-            return cfg.C
+            return SvmConfig().C
 
         def trainer(Xt, yt, c):
-            return models.train_linear_svm(
-                Xt, yt, SvmConfig(C=c, epochs=cfg.epochs, lr=cfg.lr, seed=cfg.seed)
-            )
+            return models.train_linear_svm(Xt, yt, SvmConfig(C=c))
 
         return models.grid_search_c(
             trainer, X, y, models.DEFAULT_C_GRID,
@@ -128,7 +137,7 @@ class FeaturePipeline:
 
     def predict(self, docs: Sequence[Document]) -> list[int]:
         assert self.model is not None, "fit before predict"
-        X, names = self._matrix(docs)
+        X, names = self.matrix(docs)
         if X.size == 0 and not docs:
             return []
         return list(models.predict(self.model, X, names))

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 
 from .errors import MalformedRow, MissingFile, MissingLexicon, SupportViolation
-from .textcore import Document
+from .textcore import Document, ratio
 
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
 PROPER_NOUN_TAGS = {"NNP", "NNPS"}
@@ -134,9 +134,6 @@ def pos_ratios(tagged: TaggedDocument) -> dict[str, float]:
     """The full battery of per-word POS ratios and verb-variation measures."""
     pairs = tagged.pairs
     n = len(pairs)
-
-    def ratio(num: float, den: float) -> float:
-        return num / den if den else 0.0
 
     tag_count: dict[str, int] = {}
     for _, t in pairs:

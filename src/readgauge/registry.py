@@ -9,30 +9,23 @@ most once per document.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from . import lexical_features, parse_features, pos_features
 from .cky import Parser
 from .errors import MissingResource, NoParse
-from .lexicons import NormTable, SenseTable, mean_rating, sense_features
+from .lexicons import (
+    PSYCHOLINGUISTIC_FEATURE_NAMES,
+    SENSE_FEATURE_NAMES,
+    NormTable,
+    SenseTable,
+    mean_rating,
+    sense_features,
+)
 from .textcore import Document, word_type_proportions
 
 log = logging.getLogger(__name__)
-
-PSYCHOLINGUISTIC_FEATURE_NAMES = [
-    "aoa_kuperman",
-    "aoa_kuperman_lemmas",
-    "aoa_bird_lemmas",
-    "aoa_bristol_lemmas",
-    "aoa_cortese_khanna_lemmas",
-    "mrc_familiarity",
-    "mrc_concreteness",
-    "mrc_imageability",
-    "mrc_colorado_meaningfulness",
-    "mrc_pavio_meaningfulness",
-    "mrc_aoa",
-]
 
 NOVEL_POS_FEATURE_NAMES = ["posd_dev", "pos_div"]
 
@@ -55,8 +48,6 @@ class Resources:
     norm_tables: Optional[dict[str, NormTable]] = None
     sense_table: Optional[SenseTable] = None
     vocab: Optional[list[str]] = None
-    kbest_k: int = DEFAULT_KBEST_K
-    sentence_cap: int = SENTENCE_LENGTH_CAP
 
 
 def _compute_traditional(doc: Document, res: Resources) -> dict[str, float]:
@@ -103,11 +94,11 @@ def _compute_syntactic(doc: Document, res: Resources) -> dict[str, float]:
     skipped = 0
     for sent in doc.sentences:
         tokens = [t.lowercased for t in sent.word_tokens]
-        if not tokens or len(tokens) > res.sentence_cap:
+        if not tokens or len(tokens) > SENTENCE_LENGTH_CAP:
             skipped += 1
             continue
         try:
-            kb = res.parser.kbest(tokens, res.kbest_k)
+            kb = res.parser.kbest(tokens, DEFAULT_KBEST_K)
         except NoParse:
             skipped += 1
             continue
@@ -150,7 +141,7 @@ GROUPS = {
     "pos": (tuple(pos_features.POS_FEATURE_NAMES), _compute_pos),
     "syntactic": (tuple(parse_features.SYNTACTIC_FEATURE_NAMES), _compute_syntactic),
     "ttr": (tuple(lexical_features.TTR_FEATURE_NAMES), _compute_ttr),
-    "senses": (("senses_per_word", "hypernyms_per_word", "hyponyms_per_word"), _compute_senses),
+    "senses": (SENSE_FEATURE_NAMES, _compute_senses),
     "psycholinguistic": (tuple(PSYCHOLINGUISTIC_FEATURE_NAMES), _compute_psycholinguistic),
     "novel_pos": (tuple(NOVEL_POS_FEATURE_NAMES), _compute_novel_pos),
 }
@@ -171,8 +162,7 @@ def _dedup(names: list[str]) -> tuple[str, ...]:
 
 
 LEXICAL_DIVERSITY_MEMBERS = _dedup(
-    list(lexical_features.TTR_FEATURE_NAMES)
-    + ["senses_per_word", "hypernyms_per_word", "hyponyms_per_word"]
+    list(lexical_features.TTR_FEATURE_NAMES) + list(SENSE_FEATURE_NAMES)
 )
 
 LINGUISTIC_MEMBERS = _dedup(

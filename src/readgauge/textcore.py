@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import re
 import unicodedata
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 # Sentence-final abbreviations that must not trigger a split.
@@ -157,6 +157,11 @@ def make_document(doc_id: str, raw_text: str, label: Optional[RawLabel] = None) 
         sentences.append(Sentence(tokens=tuple(toks), index_in_doc=idx))
         idx += 1
     return Document(doc_id=doc_id, raw_text=text, sentences=tuple(sentences), label=label)
+
+
+def ratio(num: float, den: float) -> float:
+    """``num / den``, or 0.0 when the denominator is zero."""
+    return num / den if den else 0.0
 
 
 def word_type_proportions(doc: Document, vocab: list[str]) -> dict[str, float]:

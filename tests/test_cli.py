@@ -10,6 +10,9 @@ from readgauge.cli import (
     parse_feature_sets,
 )
 from readgauge.errors import DuplicateId, MissingDoc, MissingFile, ReadgaugeError
+from readgauge.labeling import as_classes
+from readgauge.pipeline import FeaturePipeline, PipelineConfig
+from readgauge.registry import Resources
 
 
 @pytest.fixture(scope="module")
@@ -201,3 +204,102 @@ class TestReportCommand:
         assert main(["report", "--reports", str(reports), "--out", str(out)]) == 0
         rows = read_csv(str(out / "report.csv"))
         assert [r[0] for r in rows[1:]] == ["setA", "setB"]
+
+
+def assert_one_error_line(capsys, code):
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith(f"error: {code}:"), lines[0]
+    return lines[0]
+
+
+def write_manifest_without(corpus_dir, column, out_path):
+    """Copy of the corpus manifest without one column, with absolute doc paths."""
+    rows = read_csv(manifest_of(corpus_dir))
+    for row in rows[1:]:
+        row[1] = os.path.join(corpus_dir, row[1])
+    keep = [i for i, name in enumerate(rows[0]) if name != column]
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([[r[i] for i in keep] for r in rows])
+
+
+def doc_ids_of(corpus_dir):
+    return [r[0] for r in read_csv(manifest_of(corpus_dir))[1:]]
+
+
+class TestInputErrors:
+    @pytest.mark.parametrize("column", ["doc_id", "path", "class_name"])
+    def test_manifest_without_column(self, small_corpus, tmp_path, capsys, column):
+        manifest = tmp_path / "manifest.csv"
+        write_manifest_without(small_corpus, column, manifest)
+        code = main([
+            "extract", "--manifest", str(manifest), "--features", "flesch",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert column in assert_one_error_line(capsys, "MalformedRow")
+
+    def test_non_numeric_age(self, tmp_path, capsys):
+        (tmp_path / "a.txt").write_text("Hi.", encoding="utf-8")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "doc_id,path,class_name,age_low,age_high\nd1,a.txt,x,young,9\n", encoding="utf-8"
+        )
+        code = main([
+            "extract", "--manifest", str(manifest), "--features", "flesch",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert "line 2" in assert_one_error_line(capsys, "MalformedRow")
+
+    @pytest.mark.parametrize("value", ["high", "nan"])
+    def test_non_numeric_score_value(self, small_corpus, tmp_path, capsys, value):
+        scores = tmp_path / "scores.csv"
+        scores.write_text(f"doc_id,score_name,value\nd0,oracle,{value}\n", encoding="utf-8")
+        code = main([
+            "train", "--manifest", manifest_of(small_corpus),
+            "--features", "flesch", "--model", "logistic",
+            "--scores", str(scores), "--out", str(tmp_path / "m"),
+        ])
+        assert code == 1
+        assert "line 2" in assert_one_error_line(capsys, "MalformedRow")
+
+    def test_missing_difficulty_order_file(self, small_corpus, tmp_path, capsys):
+        code = main([
+            "extract", "--manifest", manifest_of(small_corpus), "--features", "flesch",
+            "--difficulty-order", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert_one_error_line(capsys, "MissingFile")
+
+    def test_score_names_differ_between_docs(self, small_corpus, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        rows = [
+            f"{doc_id},{'gpt' if i % 2 else 'bert'},{i}"
+            for i, doc_id in enumerate(doc_ids_of(small_corpus))
+        ]
+        scores.write_text("doc_id,score_name,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main([
+            "eval", "--manifest", manifest_of(small_corpus),
+            "--features", "flesch", "--model", "logistic", "--folds", "3",
+            "--scores", str(scores), "--out", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        assert_one_error_line(capsys, "FeatureMismatch")
+
+
+class TestExtractMatchesPipeline:
+    def test_word_types_header_equals_fitted_feature_names(self, small_corpus, tmp_path):
+        out = tmp_path / "wt"
+        assert main([
+            "extract", "--manifest", manifest_of(small_corpus),
+            "--features", "word_types+flesch", "--out", str(out),
+        ]) == 0
+        docs = ingest_corpus(manifest_of(small_corpus))
+        labels, _ = as_classes([d.label for d in docs])
+        pipe = FeaturePipeline(
+            PipelineConfig(feature_sets=["word_types", "flesch"], model="logistic"), Resources()
+        )
+        pipe.fit(docs, labels)
+        header = read_csv(str(out / "features.csv"))[0]
+        assert header == ["doc_id", "label"] + list(pipe.feature_names)
