@@ -17,6 +17,7 @@ from typing import Optional
 from . import data_files, registry, synth
 from .cky import Parser
 from .errors import (
+    BadSize,
     DuplicateId,
     MalformedRow,
     MissingDoc,
@@ -26,34 +27,41 @@ from .errors import (
 )
 from .evaluation import cross_validate, size_ablation
 from .grammar import load_grammar
+from .inputs import csv_rows, read_text
 from .labeling import as_classes, load_difficulty_order
 from .lexicons import load_norms, load_senses
 from .models import save_model
-from .pipeline import FeaturePipeline, PipelineConfig
+from .pipeline import MODEL_KINDS, FeaturePipeline, PipelineConfig
 from .pos_features import load_tag_lexicon
 from .textcore import Document, RawLabel, make_document
 
+_SUMMARY_HEADER = ["features", "weighted_f1", "macro_f1", "sd_weighted_f1", "sd_macro_f1"]
 
-def _atomic_write_csv(path: str, header: list[str], rows: list[list]) -> None:
+
+def _write_csv(out_dir: str, name: str, header: list[str], rows: list[list]) -> str:
+    """Write ``out_dir/name`` atomically, creating ``out_dir``; returns the path."""
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, name)
     tmp = path + ".tmp"
     with open(tmp, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
     os.replace(tmp, path)
+    return path
 
 
 def _fmt(x: float) -> str:
     return repr(float(x))
 
 
-def _csv_reader(fh, path: str, columns: tuple[str, ...]) -> csv.DictReader:
-    """Rows of a CSV whose header must name every column; short rows read as ''."""
-    reader = csv.DictReader(fh, restval="")
-    missing = [c for c in columns if c not in (reader.fieldnames or [])]
+def _csv_records(path: str, columns: tuple[str, ...]) -> list[tuple[int, dict[str, str]]]:
+    """Numbered rows of a CSV keyed by its header, which must name every column."""
+    header, rows = csv_rows(path)
+    missing = [c for c in columns if c not in header]
     if missing:
         raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
-    return reader
+    return [(line, dict(zip(header, row))) for line, row in rows]
 
 
 def _float_field(row: dict, column: str, path: str, line: int) -> float:
@@ -69,45 +77,36 @@ def _float_field(row: dict, column: str, path: str, line: int) -> float:
 
 def ingest_corpus(manifest_path: str) -> list[Document]:
     """Load, segment and tokenize every document named by a manifest CSV."""
-    if not os.path.isfile(manifest_path):
-        raise MissingFile(manifest_path)
     base = os.path.dirname(os.path.abspath(manifest_path))
     docs: list[Document] = []
     seen: set[str] = set()
-    with open(manifest_path, newline="", encoding="utf-8") as fh:
-        reader = _csv_reader(fh, manifest_path, ("doc_id", "path", "class_name"))
-        for row in reader:
-            doc_id = row["doc_id"].strip()
-            if doc_id in seen:
-                raise DuplicateId(doc_id)
-            seen.add(doc_id)
-            path = row["path"].strip()
-            full = path if os.path.isabs(path) else os.path.join(base, path)
-            if not os.path.isfile(full):
-                raise MissingDoc(full)
-            with open(full, encoding="utf-8") as doc_fh:
-                text = doc_fh.read()
-            age_low = _float_field(row, "age_low", manifest_path, reader.line_num) if row.get("age_low") else None
-            age_high = _float_field(row, "age_high", manifest_path, reader.line_num) if row.get("age_high") else None
-            label = RawLabel(row["class_name"].strip(), age_low, age_high)
-            docs.append(make_document(doc_id, text, label))
+    for line, row in _csv_records(manifest_path, ("doc_id", "path", "class_name")):
+        doc_id = row["doc_id"].strip()
+        if doc_id in seen:
+            raise DuplicateId(doc_id)
+        seen.add(doc_id)
+        path = row["path"].strip()
+        full = path if os.path.isabs(path) else os.path.join(base, path)
+        if not os.path.isfile(full):
+            raise MissingDoc(full)
+        text = read_text(full)
+        age_low = _float_field(row, "age_low", manifest_path, line) if row.get("age_low") else None
+        age_high = _float_field(row, "age_high", manifest_path, line) if row.get("age_high") else None
+        label = RawLabel(row["class_name"].strip(), age_low, age_high)
+        docs.append(make_document(doc_id, text, label))
     return docs
 
 
 def load_scores(path: str) -> dict[str, list[tuple[str, float]]]:
     """External score file: doc_id,score_name,value with unique pairs."""
-    if not os.path.isfile(path):
-        raise MissingFile(path)
     scores: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = _csv_reader(fh, path, ("doc_id", "score_name", "value"))
-        for row in reader:
-            key = (row["doc_id"].strip(), row["score_name"].strip())
-            if key in seen:
-                raise DuplicateId(f"duplicate score row {key}")
-            seen.add(key)
-            scores.setdefault(key[0], []).append((key[1], _float_field(row, "value", path, reader.line_num)))
+    for line, row in _csv_records(path, ("doc_id", "score_name", "value")):
+        key = (row["doc_id"].strip(), row["score_name"].strip())
+        if key in seen:
+            raise DuplicateId(f"duplicate score row {key}")
+        seen.add(key)
+        scores.setdefault(key[0], []).append((key[1], _float_field(row, "value", path, line)))
     return scores
 
 
@@ -146,20 +145,29 @@ def parse_feature_sets(values: list[str]) -> list[str]:
     return names
 
 
-def _labels_for(docs: list[Document], order_path: Optional[str]) -> tuple[list[int], list[str]]:
-    ordering = load_difficulty_order(order_path) if order_path else None
-    return as_classes([d.label for d in docs], ordering)
+def _load_corpus(args) -> tuple[list[Document], registry.Resources, list[int], list[str]]:
+    """Documents, resources, class labels and class order of a corpus command."""
+    docs = ingest_corpus(args.manifest)
+    resources = build_resources(args)
+    ordering = load_difficulty_order(args.difficulty_order) if args.difficulty_order else None
+    labels, class_order = as_classes([d.label for d in docs], ordering)
+    return docs, resources, labels, class_order
 
 
-def _make_pipeline(args, feature_sets, resources, scores) -> FeaturePipeline:
-    config = PipelineConfig(feature_sets=feature_sets, model=args.model, seed=args.seed)
-    return FeaturePipeline(config, resources, scores)
-
-
-def _check_score_coverage(scores, docs) -> None:
+def _fused_scores(args, docs: list[Document]) -> Optional[dict[str, list[tuple[str, float]]]]:
+    """The ``--scores`` table, which must cover every document, or None."""
+    if not args.scores:
+        return None
+    scores = load_scores(args.scores)
     for doc in docs:
         if doc.doc_id not in scores:
             raise MissingScore(f"scores file has no rows for doc {doc.doc_id!r}")
+    return scores
+
+
+def _pipeline(args, features: list[str], resources: registry.Resources, scores=None) -> FeaturePipeline:
+    config = PipelineConfig(parse_feature_sets(features), model=args.model, seed=args.seed)
+    return FeaturePipeline(config, resources, scores)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -173,33 +181,21 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    docs = ingest_corpus(args.manifest)
-    resources = build_resources(args)
-    feature_sets = parse_feature_sets(args.features)
-    labels, _ = _labels_for(docs, args.difficulty_order)
-    pipe = FeaturePipeline(PipelineConfig(feature_sets=feature_sets), resources)
+    docs, resources, labels, _ = _load_corpus(args)
+    pipe = FeaturePipeline(PipelineConfig(parse_feature_sets(args.features)), resources)
     pipe.fit_vocab(docs)
     X, names = pipe.matrix(docs)
     rows = [
         [doc.doc_id, str(label)] + [_fmt(x) for x in values]
         for doc, label, values in zip(docs, labels, X.tolist())
     ]
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "features.csv")
-    _atomic_write_csv(out_path, ["doc_id", "label"] + list(names), rows)
-    print(out_path)
+    print(_write_csv(args.out, "features.csv", ["doc_id", "label", *names], rows))
     return 0
 
 
 def cmd_train(args) -> int:
-    docs = ingest_corpus(args.manifest)
-    resources = build_resources(args)
-    feature_sets = parse_feature_sets(args.features)
-    labels, _ = _labels_for(docs, args.difficulty_order)
-    scores = load_scores(args.scores) if args.scores else None
-    if scores is not None:
-        _check_score_coverage(scores, docs)
-    pipe = _make_pipeline(args, feature_sets, resources, scores)
+    docs, resources, labels, _ = _load_corpus(args)
+    pipe = _pipeline(args, args.features, resources, _fused_scores(args, docs))
     pipe.fit(docs, labels)
     os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "model.json")
@@ -209,30 +205,18 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    docs = ingest_corpus(args.manifest)
-    resources = build_resources(args)
-    feature_sets = parse_feature_sets(args.features)
-    labels, class_order = _labels_for(docs, args.difficulty_order)
-    scores = load_scores(args.scores) if args.scores else None
-    if scores is not None:
-        _check_score_coverage(scores, docs)
-    pipe = _make_pipeline(args, feature_sets, resources, scores)
+    docs, resources, labels, class_order = _load_corpus(args)
+    pipe = _pipeline(args, args.features, resources, _fused_scores(args, docs))
     report = cross_validate(
         pipe, docs, labels, n_classes=len(class_order), k=args.folds, seed=args.seed
     )
-    os.makedirs(args.out, exist_ok=True)
-    features_name = "+".join(feature_sets) + (f"+scores:{os.path.basename(args.scores)}" if args.scores else "")
-    summary_path = os.path.join(args.out, "eval_summary.csv")
-    _atomic_write_csv(
-        summary_path,
-        ["features", "weighted_f1", "macro_f1", "sd_weighted_f1", "sd_macro_f1"],
-        [[features_name, _fmt(report.mean_weighted), _fmt(report.mean_macro),
-          _fmt(report.sd_weighted), _fmt(report.sd_macro)]],
-    )
-    folds_path = os.path.join(args.out, "eval_folds.csv")
-    _atomic_write_csv(
-        folds_path,
-        ["fold", "weighted_f1", "macro_f1"],
+    scores_name = f"+scores:{os.path.basename(args.scores)}" if args.scores else ""
+    summary_path = _write_csv(args.out, "eval_summary.csv", _SUMMARY_HEADER, [[
+        "+".join(pipe.config.feature_sets) + scores_name, _fmt(report.mean_weighted),
+        _fmt(report.mean_macro), _fmt(report.sd_weighted), _fmt(report.sd_macro),
+    ]])
+    _write_csv(
+        args.out, "eval_folds.csv", ["fold", "weighted_f1", "macro_f1"],
         [[str(i), _fmt(w), _fmt(m)]
          for i, (w, m) in enumerate(zip(report.fold_weighted, report.fold_macro))],
     )
@@ -241,117 +225,93 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    docs = ingest_corpus(args.manifest)
-    resources = build_resources(args)
-    with_sets = parse_feature_sets(args.features)
-    without_sets = parse_feature_sets(args.baseline_features)
-    labels, class_order = _labels_for(docs, args.difficulty_order)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
-    pipe_with = _make_pipeline(args, with_sets, resources, None)
-    pipe_without = _make_pipeline(args, without_sets, resources, None)
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError:
+        raise BadSize(f"--sizes {args.sizes!r} is not a comma-separated list of integers") from None
+    docs, resources, labels, class_order = _load_corpus(args)
     curve = size_ablation(
-        pipe_with, pipe_without, sizes, docs, labels,
-        n_classes=len(class_order), seed=args.seed,
+        _pipeline(args, args.features, resources),
+        _pipeline(args, args.baseline_features, resources),
+        sizes, docs, labels, n_classes=len(class_order), seed=args.seed,
     )
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "ablation.csv")
-    _atomic_write_csv(
-        out_path,
-        ["size", "macro_f1_with", "macro_f1_without"],
-        [[str(s), _fmt(w), _fmt(wo)] for s, w, wo in curve],
-    )
-    print(out_path)
+    rows = [[str(s), _fmt(w), _fmt(wo)] for s, w, wo in curve]
+    print(_write_csv(args.out, "ablation.csv", ["size", "macro_f1_with", "macro_f1_without"], rows))
     return 0
 
 
 def cmd_report(args) -> int:
-    rows = []
-    for name in sorted(os.listdir(args.reports)):
+    """Rank the rows of every CSV in ``--reports`` whose header has the
+    features, weighted_f1 and macro_f1 columns; other CSVs are skipped."""
+    try:
+        names = sorted(os.listdir(args.reports))
+    except OSError:
+        raise MissingFile(args.reports) from None
+    ranked = []
+    for name in names:
         if not name.endswith(".csv"):
             continue
         path = os.path.join(args.reports, name)
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None or "weighted_f1" not in reader.fieldnames:
-                continue
-            for row in reader:
-                rows.append([
-                    row["features"], row["weighted_f1"], row["macro_f1"],
-                    row.get("sd_weighted_f1", ""), row.get("sd_macro_f1", ""),
-                ])
-    rows.sort(key=lambda r: float(r[1]))
-    os.makedirs(args.out, exist_ok=True)
-    out_path = os.path.join(args.out, "report.csv")
-    _atomic_write_csv(
-        out_path,
-        ["features", "weighted_f1", "macro_f1", "sd_weighted_f1", "sd_macro_f1"],
-        rows,
-    )
-    print(out_path)
+        header, rows = csv_rows(path)
+        if not set(_SUMMARY_HEADER[:3]) <= set(header):
+            continue
+        for line, values in rows:
+            row = dict(zip(header, values))
+            weighted = _float_field(row, "weighted_f1", path, line)
+            ranked.append((weighted, [row.get(c, "") for c in _SUMMARY_HEADER]))
+    ranked.sort(key=lambda r: r[0])
+    print(_write_csv(args.out, "report.csv", _SUMMARY_HEADER, [row for _, row in ranked]))
     return 0
 
 
 # -- argument parsing ----------------------------------------------------------
 
-
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--manifest", required=True, help="corpus manifest CSV")
-    parser.add_argument("--grammar", help="PCFG grammar file")
-    parser.add_argument("--tag-lexicon", dest="tag_lexicon", help="word,tag CSV")
-    parser.add_argument("--norms", help="psycholinguistic norms CSV")
-    parser.add_argument("--senses", help="word sense-count CSV")
-    parser.add_argument("--difficulty-order", dest="difficulty_order",
-                        help="class names, one per line, easiest first")
-    parser.add_argument("--seed", type=int, default=7)
-    parser.add_argument("--out", required=True, help="output directory")
+# Every flag once; each subcommand below names the flags it takes.
+_FLAGS = {
+    "manifest": dict(required=True, help="corpus manifest CSV"),
+    "grammar": dict(help="PCFG grammar file"),
+    "tag-lexicon": dict(help="word,tag CSV"),
+    "norms": dict(help="psycholinguistic norms CSV"),
+    "senses": dict(help="word sense-count CSV"),
+    "difficulty-order": dict(help="class names, one per line, easiest first"),
+    "features": dict(action="append", required=True,
+                     help="feature set name(s); repeatable, '+'-joinable"),
+    "baseline-features": dict(action="append", required=True,
+                              help="feature set name(s) of the baseline"),
+    "model": dict(choices=MODEL_KINDS, default="svm"),
+    "scores": dict(help="external score CSV for fusion"),
+    "folds": dict(type=int, default=5),
+    "sizes": dict(default="50,100,200,400", help="comma-separated training sizes"),
+    "reports": dict(required=True, help="directory of eval summary CSVs"),
+    "docs": dict(type=int, default=600),
+    "classes": dict(type=int, default=3),
+    "seed": dict(type=int, default=7),
+    "out": dict(required=True, help="output directory"),
+}
+_CORPUS_FLAGS = (
+    "manifest", "grammar", "tag-lexicon", "norms", "senses", "difficulty-order", "seed", "out",
+    "features",
+)
+_COMMANDS = (
+    ("synth", cmd_synth, "generate a synthetic labeled corpus", ("out", "docs", "classes", "seed")),
+    ("extract", cmd_extract, "write the feature CSV for a corpus", _CORPUS_FLAGS),
+    ("train", cmd_train, "train a model on the full corpus", _CORPUS_FLAGS + ("model", "scores")),
+    ("eval", cmd_eval, "k-fold cross-validated evaluation",
+     _CORPUS_FLAGS + ("model", "scores", "folds")),
+    ("ablate", cmd_ablate, "training-set-size ablation curve",
+     _CORPUS_FLAGS + ("baseline-features", "model", "sizes")),
+    ("report", cmd_report, "rank evaluation summaries by weighted F1", ("reports", "out")),
+)
 
 
 def build_arg_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="readgauge")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("synth", help="generate a synthetic labeled corpus")
-    p.add_argument("--out", required=True)
-    p.add_argument("--docs", type=int, default=600)
-    p.add_argument("--classes", type=int, default=3)
-    p.add_argument("--seed", type=int, default=7)
-    p.set_defaults(func=cmd_synth)
-
-    p = sub.add_parser("extract", help="write the feature CSV for a corpus")
-    _add_common(p)
-    p.add_argument("--features", action="append", required=True,
-                   help="feature set name(s); repeatable, '+'-joinable")
-    p.set_defaults(func=cmd_extract)
-
-    p = sub.add_parser("train", help="train a model on the full corpus")
-    _add_common(p)
-    p.add_argument("--features", action="append", required=True)
-    p.add_argument("--model", choices=["svm", "logistic", "linear"], default="svm")
-    p.add_argument("--scores", help="external score CSV for fusion")
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="k-fold cross-validated evaluation")
-    _add_common(p)
-    p.add_argument("--features", action="append", required=True)
-    p.add_argument("--model", choices=["svm", "logistic", "linear"], default="svm")
-    p.add_argument("--scores", help="external score CSV for fusion")
-    p.add_argument("--folds", type=int, default=5)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("ablate", help="training-set-size ablation curve")
-    _add_common(p)
-    p.add_argument("--features", action="append", required=True)
-    p.add_argument("--baseline-features", dest="baseline_features",
-                   action="append", required=True)
-    p.add_argument("--model", choices=["svm", "logistic", "linear"], default="svm")
-    p.add_argument("--sizes", default="50,100,200,400")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("report", help="rank evaluation summaries by weighted F1")
-    p.add_argument("--reports", required=True, help="directory of eval summary CSVs")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_report)
-
+    for name, func, help_text, flags in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument("--" + flag, **_FLAGS[flag])
+        p.set_defaults(func=func)
     return parser
 
 

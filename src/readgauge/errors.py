@@ -7,12 +7,16 @@ class ReadgaugeError(Exception):
     code = "Error"
 
     def __str__(self):
-        msg = super().__str__()
-        return f"{self.code}: {msg}" if msg else self.code
+        # Always one "<Code>: <message>" line, as the CLI prints it to stderr.
+        return f"{self.code}: " + " ".join(super().__str__().splitlines())
 
 
 class MissingFile(ReadgaugeError):
     code = "MissingFile"
+
+
+class BadEncoding(ReadgaugeError):
+    code = "BadEncoding"
 
 
 class MalformedRow(ReadgaugeError):
@@ -77,6 +81,10 @@ class TooFewSamples(ReadgaugeError):
 
 class SizeTooLarge(ReadgaugeError):
     code = "SizeTooLarge"
+
+
+class BadSize(ReadgaugeError):
+    code = "BadSize"
 
 
 class MissingResource(ReadgaugeError):

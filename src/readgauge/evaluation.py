@@ -8,7 +8,7 @@ from typing import Protocol, Sequence
 
 import numpy as np
 
-from .errors import LengthMismatch, SizeTooLarge, TooFewSamples
+from .errors import BadSize, LengthMismatch, SizeTooLarge, TooFewSamples
 from .textcore import Document
 
 
@@ -182,6 +182,8 @@ def size_ablation(
     plan = kfold(doc_ids, labels, k=5, seed=seed, stratified=True)
     test_idx = [i for i, d in enumerate(docs) if plan.assignments[d.doc_id] == 0]
     pool_idx = [i for i, d in enumerate(docs) if plan.assignments[d.doc_id] != 0]
+    if not sizes or min(sizes) < 1:
+        raise BadSize(f"training sizes must be integers >= 1, got {list(sizes)}")
     if max(sizes) > len(pool_idx):
         raise SizeTooLarge(f"max size {max(sizes)} > pool {len(pool_idx)}")
     rng = random.Random(seed)

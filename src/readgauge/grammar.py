@@ -8,12 +8,12 @@ directive (otherwise the first rule's LHS is the start symbol).
 from __future__ import annotations
 
 import math
-import os
 import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import BadProbabilitySum, MalformedRule, MissingFile, UnsupportedRule
+from .errors import BadProbabilitySum, MalformedRule, UnsupportedRule
+from .inputs import read_text
 
 PROB_SUM_TOL = 1e-6
 
@@ -100,43 +100,40 @@ def make_grammar(rules: list[Rule], start: Optional[str] = None) -> Grammar:
 
 
 def load_grammar(path: str) -> Grammar:
-    if not os.path.isfile(path):
-        raise MissingFile(path)
     rules: list[Rule] = []
     start: Optional[str] = None
     terminal_names: set[str] = set()
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("//", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("%start"):
-                parts = line.split()
-                if len(parts) != 2:
-                    raise MalformedRule(f"{path}:{lineno}: bad %start directive")
-                start = parts[1]
-                continue
-            m = _RULE_RE.match(line)
-            if not m:
-                raise MalformedRule(f"{path}:{lineno}: {line!r}")
-            lhs, rhs_str, prob_str = m.groups()
-            rhs = []
-            for sym in rhs_str.split():
-                if len(sym) >= 3 and sym[0] == "'" and sym[-1] == "'":
-                    term = sym[1:-1]
-                    terminal_names.add(term)
-                    rhs.append(term)
-                else:
-                    rhs.append(sym)
-            if not rhs:
-                raise MalformedRule(f"{path}:{lineno}: empty RHS")
-            try:
-                prob = float(prob_str)
-            except ValueError:
-                raise MalformedRule(f"{path}:{lineno}: bad probability {prob_str!r}")
-            if not (0.0 < prob <= 1.0):
-                raise MalformedRule(f"{path}:{lineno}: probability {prob} out of (0,1]")
-            rules.append(Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob)))
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("//", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("%start"):
+            parts = line.split()
+            if len(parts) != 2:
+                raise MalformedRule(f"{path}:{lineno}: bad %start directive")
+            start = parts[1]
+            continue
+        m = _RULE_RE.match(line)
+        if not m:
+            raise MalformedRule(f"{path}:{lineno}: {line!r}")
+        lhs, rhs_str, prob_str = m.groups()
+        rhs = []
+        for sym in rhs_str.split():
+            if len(sym) >= 3 and sym[0] == "'" and sym[-1] == "'":
+                term = sym[1:-1]
+                terminal_names.add(term)
+                rhs.append(term)
+            else:
+                rhs.append(sym)
+        if not rhs:
+            raise MalformedRule(f"{path}:{lineno}: empty RHS")
+        try:
+            prob = float(prob_str)
+        except ValueError:
+            raise MalformedRule(f"{path}:{lineno}: bad probability {prob_str!r}")
+        if not (0.0 < prob <= 1.0):
+            raise MalformedRule(f"{path}:{lineno}: probability {prob} out of (0,1]")
+        rules.append(Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob)))
     if not rules:
         raise MalformedRule(f"{path}: no rules (no start symbol)")
     nonterminals = frozenset(r.lhs for r in rules)

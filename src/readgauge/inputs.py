@@ -1,0 +1,54 @@
+"""How an input file becomes text and CSV rows.
+
+Every file the toolkit reads goes through ``read_text`` or ``csv_rows``, so a
+missing file, bytes that are not UTF-8 and a CSV the ``csv`` module rejects
+all end in a ``ReadgaugeError`` naming the file, never in a traceback.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+from typing import Optional
+
+from .errors import BadEncoding, MalformedRow, MissingFile
+
+
+def _decode(path: str, newline: Optional[str]) -> str:
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except OSError:
+        raise MissingFile(path) from None
+    except UnicodeDecodeError as exc:
+        raise BadEncoding(f"{path}: byte {exc.start}: {exc.reason}") from None
+
+
+def read_text(path: str) -> str:
+    """The UTF-8 text of ``path``, with ``\\r\\n`` and ``\\r`` read as ``\\n``."""
+    return _decode(path, None)
+
+
+def csv_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tuple[int, list[str]]]]:
+    """Header and non-blank rows of a UTF-8 CSV, each row with its number (the header is row 1).
+
+    Every row must have ``width`` fields, or as many as the header when
+    ``width`` is None. An empty file, a row of another width and anything
+    the ``csv`` module rejects raise ``MalformedRow``.
+    """
+    reader = csv.reader(io.StringIO(_decode(path, ""), newline=""))
+    rows: list[tuple[int, list[str]]] = []
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise MalformedRow(f"{path}: empty file, header required")
+        expected = len(header) if width is None else width
+        for rownum, row in enumerate(reader, start=2):
+            if not any(c.strip() for c in row):
+                continue
+            if len(row) != expected:
+                raise MalformedRow(f"{path}: row {rownum} has {len(row)} fields, expected {expected}")
+            rows.append((rownum, row))
+    except csv.Error as exc:
+        raise MalformedRow(f"{path}: line {reader.line_num}: {exc}") from None
+    return header, rows

@@ -2,10 +2,10 @@
 
 from __future__ import annotations
 
-import os
 from typing import Optional, Sequence
 
-from .errors import MissingAges, MissingFile, UnknownClass
+from .errors import MissingAges, UnknownClass
+from .inputs import read_text
 from .textcore import RawLabel
 
 
@@ -56,7 +56,4 @@ def as_ordered_regression(
 
 def load_difficulty_order(path: str) -> list[str]:
     """One class name per line, easiest first."""
-    if not os.path.isfile(path):
-        raise MissingFile(path)
-    with open(path, encoding="utf-8") as fh:
-        return [line.strip() for line in fh if line.strip()]
+    return [line.strip() for line in read_text(path).split("\n") if line.strip()]

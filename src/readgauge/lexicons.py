@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
-import os
 from dataclasses import dataclass
 
-from .errors import MalformedRow, MissingFile
+from .errors import MalformedRow
+from .inputs import csv_rows
 from .textcore import Document
 
 log = logging.getLogger(__name__)
@@ -51,63 +50,41 @@ def load_norms(path: str) -> dict[str, NormTable]:
     Returns one NormTable per rating column. Duplicate words win last with a
     logged warning; a non-numeric rating rejects the file naming the row.
     """
-    if not os.path.isfile(path):
-        raise MissingFile(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MalformedRow(f"{path}: empty file, header required")
-        if not header or header[0].strip().lower() != "word":
-            raise MalformedRow(f"{path}: first header column must be 'word'")
-        columns = [c.strip() for c in header[1:]]
-        tables: dict[str, dict[str, float]] = {c: {} for c in columns}
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != len(header):
-                raise MalformedRow(f"{path}: row {rownum} has {len(row)} fields, expected {len(header)}")
-            word = row[0].strip().lower()
-            for col, raw in zip(columns, row[1:]):
-                try:
-                    value = float(raw)
-                except ValueError:
-                    raise MalformedRow(f"{path}: row {rownum}: non-numeric rating {raw!r}")
-                if not math.isfinite(value):
-                    raise MalformedRow(f"{path}: row {rownum}: non-finite rating {raw!r}")
-                if word in tables[col]:
-                    log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
-                tables[col][word] = value
+    header, rows = csv_rows(path)
+    if not header or header[0].strip().lower() != "word":
+        raise MalformedRow(f"{path}: first header column must be 'word'")
+    columns = [c.strip() for c in header[1:]]
+    tables: dict[str, dict[str, float]] = {c: {} for c in columns}
+    for rownum, row in rows:
+        word = row[0].strip().lower()
+        for col, raw in zip(columns, row[1:]):
+            try:
+                value = float(raw)
+            except ValueError:
+                raise MalformedRow(f"{path}: row {rownum}: non-numeric rating {raw!r}")
+            if not math.isfinite(value):
+                raise MalformedRow(f"{path}: row {rownum}: non-finite rating {raw!r}")
+            if word in tables[col]:
+                log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
+            tables[col][word] = value
     return {c: NormTable(name=c, entries=tables[c]) for c in columns}
 
 
 def load_senses(path: str) -> SenseTable:
     """Load a sense-count CSV (``word,senses,hypernyms,hyponyms``)."""
-    if not os.path.isfile(path):
-        raise MissingFile(path)
+    _, rows = csv_rows(path, width=4)
     entries: dict[str, tuple[int, int, int]] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+    for rownum, row in rows:
+        word = row[0].strip().lower()
         try:
-            next(reader)
-        except StopIteration:
-            raise MalformedRow(f"{path}: empty file, header required")
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 4:
-                raise MalformedRow(f"{path}: row {rownum} has {len(row)} fields, expected 4")
-            word = row[0].strip().lower()
-            try:
-                counts = tuple(int(c) for c in row[1:])
-            except ValueError:
-                raise MalformedRow(f"{path}: row {rownum}: non-integer count")
-            if any(c < 0 for c in counts):
-                raise MalformedRow(f"{path}: row {rownum}: negative count")
-            if word in entries:
-                log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
-            entries[word] = counts  # type: ignore[assignment]
+            counts = tuple(int(c) for c in row[1:])
+        except ValueError:
+            raise MalformedRow(f"{path}: row {rownum}: non-integer count")
+        if any(c < 0 for c in counts):
+            raise MalformedRow(f"{path}: row {rownum}: negative count")
+        if word in entries:
+            log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
+        entries[word] = counts  # type: ignore[assignment]
     return SenseTable(entries=entries)
 
 

@@ -15,12 +15,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (
-    DegenerateLabels,
-    FeatureMismatch,
-    MissingFile,
-    NameCollision,
-)
+from .errors import DegenerateLabels, FeatureMismatch, NameCollision
+from .inputs import read_text
 
 MODEL_FORMAT_VERSION = 1
 
@@ -47,18 +43,19 @@ class LinearModel:
         return self.scaler.transform(X) @ self.weights.T + self.bias
 
 
-@dataclass(frozen=True)
-class LogisticConfig:
-    l2: float = 1e-4
-    epochs: int = 300
-    lr: float = 1.0
+# Logistic regression: L2 weight penalty, epochs and first step size.
+LOGISTIC_L2 = 1e-4
+LOGISTIC_EPOCHS = 300
+LOGISTIC_LR = 1.0
+
+# Linear SVM: epochs and first step size (step t is SVM_LR / (1 + t)).
+SVM_EPOCHS = 500
+SVM_LR = 1.0
 
 
 @dataclass(frozen=True)
 class SvmConfig:
     C: float = 1.0
-    epochs: int = 500
-    lr: float = 1.0
 
 
 # Exponential grid for tuning the SVM's C, 2^-5 .. 2^15.
@@ -122,10 +119,7 @@ def hinge_loss_grad(
 
 
 def train_logistic(
-    X: np.ndarray,
-    y: Sequence[int],
-    cfg: LogisticConfig = LogisticConfig(),
-    feature_names: Optional[Sequence[str]] = None,
+    X: np.ndarray, y: Sequence[int], feature_names: Optional[Sequence[str]] = None
 ) -> LinearModel:
     """Full-batch gradient descent with step-halving backtracking."""
     X = np.asarray(X, dtype=float)
@@ -134,13 +128,13 @@ def train_logistic(
     Xs, scaler = standardize(X)
     W = np.zeros((n_classes, X.shape[1]))
     b = np.zeros(n_classes)
-    lr = cfg.lr
-    loss, grad_W, grad_b = softmax_loss_grad(W, b, Xs, y, cfg.l2)
-    for _ in range(cfg.epochs):
+    lr = LOGISTIC_LR
+    loss, grad_W, grad_b = softmax_loss_grad(W, b, Xs, y, LOGISTIC_L2)
+    for _ in range(LOGISTIC_EPOCHS):
         for _attempt in range(50):
             W_new = W - lr * grad_W
             b_new = b - lr * grad_b
-            new_loss, new_gW, new_gb = softmax_loss_grad(W_new, b_new, Xs, y, cfg.l2)
+            new_loss, new_gW, new_gb = softmax_loss_grad(W_new, b_new, Xs, y, LOGISTIC_L2)
             if new_loss <= loss:
                 break
             lr *= 0.5
@@ -171,12 +165,12 @@ def train_linear_svm(
     b = np.zeros(n_classes)
     best_loss, _, _ = hinge_loss_grad(W, b, Xs, y, cfg.C)
     best_W, best_b = W.copy(), b.copy()
-    for t in range(cfg.epochs):
+    for t in range(SVM_EPOCHS):
         loss, grad_W, grad_b = hinge_loss_grad(W, b, Xs, y, cfg.C)
         if loss < best_loss:
             best_loss = loss
             best_W, best_b = W.copy(), b.copy()
-        step = cfg.lr / (1.0 + t)
+        step = SVM_LR / (1.0 + t)
         W = W - step * grad_W
         b = b - step * grad_b
     loss, _, _ = hinge_loss_grad(W, b, Xs, y, cfg.C)
@@ -271,10 +265,7 @@ def save_model(model: LinearModel, path: str) -> None:
 
 
 def load_model(path: str, expected_features: Optional[Sequence[str]] = None) -> LinearModel:
-    if not os.path.isfile(path):
-        raise MissingFile(path)
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = json.loads(read_text(path))
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise FeatureMismatch(f"unsupported model format {payload.get('format_version')}")
     model = LinearModel(

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import models, registry
 from .errors import FeatureMismatch, MissingScore
-from .models import LinearModel, LogisticConfig, SvmConfig
+from .models import LinearModel, SvmConfig
 from .textcore import Document
 
 MODEL_KINDS = ("svm", "logistic", "linear")
@@ -117,7 +117,7 @@ class FeaturePipeline:
         self.feature_names = names
         y = np.asarray(labels, dtype=int)
         if self.config.model == "logistic":
-            self.model = models.train_logistic(X, y, LogisticConfig(), names)
+            self.model = models.train_logistic(X, y, names)
         else:  # "linear" is the C=1 linear SVM without tuning
             c = self._tune_c(X, y) if self.config.model == "svm" else 1.0
             self.model = models.train_linear_svm(X, y, SvmConfig(C=c), names)

@@ -7,12 +7,11 @@ tagset categories, and every zero denominator yields zero.
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass
 
-from .errors import MalformedRow, MissingFile, MissingLexicon, SupportViolation
+from .errors import MissingLexicon, SupportViolation
+from .inputs import csv_rows
 from .textcore import Document, ratio
 
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
@@ -79,22 +78,8 @@ class TaggedDocument:
 
 def load_tag_lexicon(path: str) -> dict[str, str]:
     """Load a ``word,tag`` CSV mapping lowercased words to Penn tags."""
-    if not os.path.isfile(path):
-        raise MissingFile(path)
-    lexicon: dict[str, str] = {}
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            next(reader)
-        except StopIteration:
-            raise MalformedRow(f"{path}: empty file, header required")
-        for rownum, row in enumerate(reader, start=2):
-            if not row or all(not c.strip() for c in row):
-                continue
-            if len(row) != 2:
-                raise MalformedRow(f"{path}: row {rownum} has {len(row)} fields, expected 2")
-            lexicon[row[0].strip().lower()] = row[1].strip()
-    return lexicon
+    _, rows = csv_rows(path, width=2)
+    return {word.strip().lower(): tag.strip() for _, (word, tag) in rows}
 
 
 def _suffix_tag(surface: str, position: int) -> str:

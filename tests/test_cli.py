@@ -303,3 +303,92 @@ class TestExtractMatchesPipeline:
         pipe.fit(docs, labels)
         header = read_csv(str(out / "features.csv"))[0]
         assert header == ["doc_id", "label"] + list(pipe.feature_names)
+
+
+def write_one_doc_corpus(tmp_path, doc_bytes):
+    (tmp_path / "a.txt").write_bytes(doc_bytes)
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("doc_id,path,class_name,age_low,age_high\nd1,a.txt,x,,\n", encoding="utf-8")
+    return str(manifest)
+
+
+def write_summary(path, weighted_f1):
+    path.write_text(
+        f"features,weighted_f1,macro_f1,sd_weighted_f1,sd_macro_f1\nset,{weighted_f1},0.5,0.0,0.0\n",
+        encoding="utf-8",
+    )
+
+
+LONG_FIELD = '"' + "a" * 200_000 + '"'
+
+
+class TestInputBoundary:
+    def test_document_not_utf8(self, tmp_path, capsys):
+        manifest = write_one_doc_corpus(tmp_path, b"\xff\xfeH\x00i\x00")
+        code = main(["extract", "--manifest", manifest, "--features", "flesch", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "a.txt" in assert_one_error_line(capsys, "BadEncoding")
+
+    def test_grammar_not_utf8(self, small_corpus, tmp_path, capsys):
+        grammar = tmp_path / "g.txt"
+        grammar.write_bytes(b"S -> 'a' # 1.0\nS2 -> '\xff' # 1.0\n")
+        code = main([
+            "extract", "--manifest", manifest_of(small_corpus), "--features", "flesch",
+            "--grammar", str(grammar), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert_one_error_line(capsys, "BadEncoding")
+
+    def test_manifest_field_over_csv_limit(self, tmp_path, capsys):
+        manifest = write_one_doc_corpus(tmp_path, b"Hi.")
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write(f"d2,{LONG_FIELD},x,,\n")
+        code = main(["extract", "--manifest", manifest, "--features", "flesch", "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert "line 3" in assert_one_error_line(capsys, "MalformedRow")
+
+    def test_norms_field_over_csv_limit(self, small_corpus, tmp_path, capsys):
+        norms = tmp_path / "norms.csv"
+        norms.write_text(f"word,aoa\n{LONG_FIELD},3\n", encoding="utf-8")
+        code = main([
+            "extract", "--manifest", manifest_of(small_corpus), "--features", "flesch",
+            "--norms", str(norms), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert_one_error_line(capsys, "MalformedRow")
+
+    def test_report_over_eval_output_ranks_summary_only(self, small_corpus, tmp_path, capsys):
+        evals = tmp_path / "eval"
+        assert main([
+            "eval", "--manifest", manifest_of(small_corpus), "--features", "flesch",
+            "--model", "logistic", "--folds", "3", "--out", str(evals),
+        ]) == 0
+        out = tmp_path / "report"
+        assert main(["report", "--reports", str(evals), "--out", str(out)]) == 0
+        assert read_csv(str(out / "report.csv")) == read_csv(str(evals / "eval_summary.csv"))
+
+    def test_report_missing_dir(self, tmp_path, capsys):
+        code = main(["report", "--reports", str(tmp_path / "nowhere"), "--out", str(tmp_path / "r")])
+        assert code == 1
+        assert_one_error_line(capsys, "MissingFile")
+
+    @pytest.mark.parametrize("value", ["abc", "inf", "nan"])
+    def test_report_weighted_f1_not_finite(self, tmp_path, capsys, value):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        write_summary(reports / "a.csv", 0.5)
+        write_summary(reports / "b.csv", value)
+        code = main(["report", "--reports", str(reports), "--out", str(tmp_path / "r")])
+        assert code == 1
+        line = assert_one_error_line(capsys, "MalformedRow")
+        assert "b.csv" in line and "line 2" in line
+
+    @pytest.mark.parametrize("sizes", ["1,x", "", " , ", "-5", "0,10"])
+    def test_ablate_bad_sizes(self, small_corpus, tmp_path, capsys, sizes):
+        code = main([
+            "ablate", "--manifest", manifest_of(small_corpus), "--features", "flesch",
+            "--baseline-features", "word_types", "--model", "logistic",
+            "--sizes", sizes, "--out", str(tmp_path / "a"),
+        ])
+        assert code == 1
+        assert_one_error_line(capsys, "BadSize")

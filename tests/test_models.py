@@ -9,7 +9,6 @@ from readgauge.errors import (
 )
 from readgauge.models import (
     DEFAULT_C_GRID,
-    LogisticConfig,
     SvmConfig,
     fuse,
     grid_search_c,
