@@ -1,8 +1,11 @@
 """Exact k-best CKY parsing over a binarized PCFG.
 
-Chart items carry the de-binarized original tree and its serialization;
-candidates are ordered by (-log_prob, serialization) so ties break
-deterministically and the k-best list matches exhaustive enumeration.
+Chart items carry the de-binarized original tree and its serialization,
+joined from the children's serials; candidates are ordered by
+(-log_prob, serialization) so ties break deterministically and the k-best
+list matches exhaustive enumeration.
+Binary rules are indexed by their left child, so a cell looks up only the
+rules whose left child is present in the left sub-span.
 """
 
 from __future__ import annotations
@@ -55,7 +58,9 @@ class KBestList:
 
 
 # A chart item is (neg_log_prob, serial, payload); payload is a ParseTree
-# for real symbols and a tuple of spliceable children for intermediates.
+# for real symbols and a tuple of spliceable children for intermediates and
+# lifted terminals. ``serial`` is always the payload's serializations joined
+# by spaces, so a parent's serial is built from its children's serials.
 Item = tuple[float, str, tuple[Child, ...]]
 
 
@@ -63,33 +68,29 @@ def _child_lp(child: Child) -> float:
     return child.log_prob if isinstance(child, ParseTree) else 0.0
 
 
-def _wrap_chain(rule: CnfRule, children: tuple[Child, ...]) -> ParseTree:
-    """Build the original-label node and re-expand a collapsed unary chain.
+def _item(rule: CnfRule, children: tuple[Child, ...], serial: str) -> Item:
+    """The chart item of ``rule`` over ``children``, whose joined serial is ``serial``.
 
-    Log-probs are accumulated in a canonical order (rule first, then each
-    child subtree left to right, then unary steps bottom-up) so equal
-    derivations get bit-identical floats regardless of chart split points.
+    Intermediate and lifted symbols pass their children up for splicing.
+    A real symbol gets its original-label node, with a collapsed unary chain
+    re-expanded above it. Log-probs are accumulated in a canonical order
+    (rule first, then each child subtree left to right, then unary steps
+    bottom-up) so equal derivations get bit-identical floats regardless of
+    chart split points.
     """
-    lp = rule.rule_lp
+    lp = rule.rule_lp  # 0.0 for intermediate and lifted rules
     for c in children:
         lp += _child_lp(c)
-    node = ParseTree(label=rule.chain[-1], children=children, log_prob=lp)
+    if is_intermediate(rule.lhs):
+        return (-lp, serial, children)
+    label = rule.chain[-1]
+    node = ParseTree(label=label, children=children, log_prob=lp)
+    serial = f"({label} {serial})"
     for label, step_lp in zip(reversed(rule.chain[:-1]), reversed(rule.chain_lps)):
         lp = step_lp + lp
         node = ParseTree(label=label, children=(node,), log_prob=lp)
-    return node
-
-
-def _apply_rule(rule: CnfRule, left: Item, right: Item) -> Item:
-    children = left[2] + right[2]
-    if is_intermediate(rule.lhs):
-        lp = 0.0
-        for c in children:
-            lp += _child_lp(c)
-        serial = " ".join(_serialize(c) for c in children)
-        return (-lp, serial, children)
-    tree = _wrap_chain(rule, children)
-    return (-tree.log_prob, tree.serialize(), (tree,))
+        serial = f"({label} {serial})"
+    return (-lp, serial, (node,))
 
 
 class Parser:
@@ -99,12 +100,12 @@ class Parser:
         self.grammar = grammar
         cnf = binarize_cnf(grammar)
         self.lexical: dict[str, list[CnfRule]] = {}
-        self.binary: list[CnfRule] = []
+        self.binary_by_left: dict[str, list[CnfRule]] = {}
         for rule in cnf:
             if rule.is_lexical:
                 self.lexical.setdefault(rule.rhs[0], []).append(rule)
             else:
-                self.binary.append(rule)
+                self.binary_by_left.setdefault(rule.rhs[0], []).append(rule)
 
     def kbest(self, tokens: list[str], k: int) -> KBestList:
         if k < 1:
@@ -120,12 +121,7 @@ class Parser:
         for i, tok in enumerate(tokens):
             cell: dict[str, list[Item]] = {}
             for rule in self.lexical.get(tok, []):
-                if rule.lifted:
-                    item: Item = (0.0, tok, (tok,))
-                else:
-                    tree = _wrap_chain(rule, (tok,))
-                    item = (-tree.log_prob, tree.serialize(), (tree,))
-                cell.setdefault(rule.lhs, []).append(item)
+                cell.setdefault(rule.lhs, []).append(_item(rule, (tok,), tok))
             # Lexical lists stay untruncated; they are bounded by the
             # number of rules over one terminal.
             for items in cell.values():
@@ -137,13 +133,13 @@ class Parser:
                 j = i + span
                 # Candidate sources per LHS: (rule, left list, right list).
                 options: dict[str, list[tuple[CnfRule, list[Item], list[Item]]]] = {}
-                for rule in self.binary:
-                    b, c = rule.rhs
-                    for m in range(i + 1, j):
-                        lefts = chart[(i, m)].get(b)
-                        rights = chart[(m, j)].get(c)
-                        if lefts and rights:
-                            options.setdefault(rule.lhs, []).append((rule, lefts, rights))
+                for m in range(i + 1, j):
+                    right_cell = chart[(m, j)]
+                    for b, lefts in chart[(i, m)].items():
+                        for rule in self.binary_by_left.get(b, ()):
+                            rights = right_cell.get(rule.rhs[1])
+                            if rights:
+                                options.setdefault(rule.lhs, []).append((rule, lefts, rights))
                 cell = {}
                 for lhs, opts in options.items():
                     cell[lhs] = _merge_kbest(opts, k)
@@ -168,9 +164,8 @@ _TIE_MARGIN = 1e-9
 
 def _merge_kbest(options: list[tuple[CnfRule, list[Item], list[Item]]], k: int) -> list[Item]:
     """Top-k of the union of item products, by lazy heap expansion."""
-    heap: list[tuple[float, str, int, int, int]] = []
+    heap: list[tuple[float, str, int, int, int, Item]] = []
     seen: set[tuple[int, int, int]] = set()
-    built: dict[tuple[int, int, int], Item] = {}
 
     def push(oi: int, li: int, ri: int) -> None:
         if (oi, li, ri) in seen:
@@ -179,9 +174,9 @@ def _merge_kbest(options: list[tuple[CnfRule, list[Item], list[Item]]], k: int) 
         if li >= len(lefts) or ri >= len(rights):
             return
         seen.add((oi, li, ri))
-        item = _apply_rule(rule, lefts[li], rights[ri])
-        built[(oi, li, ri)] = item
-        heapq.heappush(heap, (item[0], item[1], oi, li, ri))
+        left, right = lefts[li], rights[ri]
+        item = _item(rule, left[2] + right[2], left[1] + " " + right[1])
+        heapq.heappush(heap, (item[0], item[1], oi, li, ri, item))
 
     for oi in range(len(options)):
         push(oi, 0, 0)
@@ -190,8 +185,8 @@ def _merge_kbest(options: list[tuple[CnfRule, list[Item], list[Item]]], k: int) 
     while heap:
         if boundary is not None and heap[0][0] > boundary + _TIE_MARGIN:
             break
-        neg_lp, serial, oi, li, ri = heapq.heappop(heap)
-        out.append(built.pop((oi, li, ri)))
+        _neg_lp, _serial, oi, li, ri, item = heapq.heappop(heap)
+        out.append(item)
         if boundary is None and len(out) == k:
             boundary = max(it[0] for it in out)
         push(oi, li + 1, ri)

@@ -242,16 +242,18 @@ def cmd_ablate(args) -> int:
 
 def cmd_report(args) -> int:
     """Rank the rows of every CSV in ``--reports`` whose header has the
-    features, weighted_f1 and macro_f1 columns; other CSVs are skipped."""
+    features, weighted_f1 and macro_f1 columns; other CSVs are skipped, and
+    so is the report this command writes, when ``--out`` is ``--reports``."""
     try:
         names = sorted(os.listdir(args.reports))
     except OSError:
         raise MissingFile(args.reports) from None
+    own = os.path.realpath(os.path.join(args.out, "report.csv"))
     ranked = []
     for name in names:
-        if not name.endswith(".csv"):
-            continue
         path = os.path.join(args.reports, name)
+        if not name.endswith(".csv") or os.path.realpath(path) == own:
+            continue
         header, rows = csv_rows(path)
         if not set(_SUMMARY_HEADER[:3]) <= set(header):
             continue

@@ -82,16 +82,23 @@ def validate(grammar: Grammar) -> None:
 
 
 def make_grammar(rules: list[Rule], start: Optional[str] = None) -> Grammar:
+    """Grammar over ``rules``; terminals are the RHS symbols that no rule expands."""
+    lhs = {r.lhs for r in rules}
+    terminals = {s for r in rules for s in r.rhs if s not in lhs and not is_intermediate(s)}
+    return _grammar(rules, start, terminals, where="")
+
+
+def _grammar(rules: list[Rule], start: Optional[str], terminals: set[str], where: str) -> Grammar:
+    """The one Grammar constructor; ``where`` prefixes error messages."""
     if not rules:
-        raise MalformedRule("no rules (no start symbol)")
+        raise MalformedRule(f"{where}no rules (no start symbol)")
     nonterminals = frozenset(r.lhs for r in rules)
-    terminals = frozenset(s for r in rules for s in r.rhs if s not in nonterminals and not is_intermediate(s))
-    # Symbols in a RHS that never appear as an LHS and were written
-    # unquoted are treated as nonterminals with no expansions only if
-    # quoted loading marked them; here terminals are derived by exclusion.
+    clash = terminals & nonterminals
+    if clash:
+        raise MalformedRule(f"{where}symbols both quoted and used as LHS: {sorted(clash)}")
     grammar = Grammar(
         nonterminals=nonterminals,
-        terminals=terminals,
+        terminals=frozenset(terminals),
         start=start or rules[0].lhs,
         rules=tuple(rules),
     )
@@ -134,20 +141,7 @@ def load_grammar(path: str) -> Grammar:
         if not (0.0 < prob <= 1.0):
             raise MalformedRule(f"{path}:{lineno}: probability {prob} out of (0,1]")
         rules.append(Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob)))
-    if not rules:
-        raise MalformedRule(f"{path}: no rules (no start symbol)")
-    nonterminals = frozenset(r.lhs for r in rules)
-    clash = terminal_names & nonterminals
-    if clash:
-        raise MalformedRule(f"{path}: symbols both quoted and used as LHS: {sorted(clash)}")
-    grammar = Grammar(
-        nonterminals=nonterminals,
-        terminals=frozenset(terminal_names),
-        start=start or rules[0].lhs,
-        rules=tuple(rules),
-    )
-    validate(grammar)
-    return grammar
+    return _grammar(rules, start, terminal_names, where=f"{path}: ")
 
 
 def _unary_closure(

@@ -265,19 +265,27 @@ def save_model(model: LinearModel, path: str) -> None:
 
 
 def load_model(path: str, expected_features: Optional[Sequence[str]] = None) -> LinearModel:
-    payload = json.loads(read_text(path))
+    try:
+        payload = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise FeatureMismatch(f"{path}: not JSON ({exc})") from None
+    if not isinstance(payload, dict):
+        raise FeatureMismatch(f"{path}: not a JSON object")
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
-        raise FeatureMismatch(f"unsupported model format {payload.get('format_version')}")
-    model = LinearModel(
-        weights=np.asarray(payload["weights"], dtype=float),
-        bias=np.asarray(payload["bias"], dtype=float),
-        scaler=Scaler(
-            mean=np.asarray(payload["scaler_mean"], dtype=float),
-            std=np.asarray(payload["scaler_std"], dtype=float),
-        ),
-        feature_names=tuple(payload["feature_names"]),
-        classes=tuple(payload["classes"]),
-    )
+        raise FeatureMismatch(f"{path}: unsupported model format {payload.get('format_version')}")
+    try:
+        model = LinearModel(
+            weights=np.asarray(payload["weights"], dtype=float),
+            bias=np.asarray(payload["bias"], dtype=float),
+            scaler=Scaler(
+                mean=np.asarray(payload["scaler_mean"], dtype=float),
+                std=np.asarray(payload["scaler_std"], dtype=float),
+            ),
+            feature_names=tuple(payload["feature_names"]),
+            classes=tuple(payload["classes"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FeatureMismatch(f"{path}: malformed model ({type(exc).__name__}: {exc})") from None
     if expected_features is not None and tuple(expected_features) != model.feature_names:
         raise FeatureMismatch("feature names do not match the persisted model")
     return model

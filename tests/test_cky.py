@@ -128,6 +128,26 @@ class TestInvariants:
                 checked += 1
         assert checked > 10
 
+    def test_truncated_lists_match_enumeration_prefix(self):
+        # Small k cuts the lists in every chart cell, so the boundary and
+        # near-tie handling of the k-best merge decides what survives.
+        rng = random.Random(41)
+        truncated = 0
+        for _ in range(64):
+            g = random_grammar(rng)
+            parser = Parser(g)
+            terms = sorted(g.terminals)
+            for _ in range(8):
+                toks = [rng.choice(terms) for _ in range(rng.randint(2, 7))]
+                expected = [serial for _, serial in enumerate_derivations(g, toks, cap=100000)]
+                if not expected:
+                    continue
+                for k in (1, 2, 3, 5):
+                    got = [p.serialize() for p in parser.kbest(toks, k).parses]
+                    assert got == expected[:k]
+                    truncated += len(expected) > k
+        assert truncated > 100
+
     def test_parse_trees_yield_tokens(self, catalan_grammar):
         toks = ["a", "a", "a", "a"]
         kbest = cky_kbest(catalan_grammar, toks, 100)

@@ -205,6 +205,18 @@ class TestReportCommand:
         rows = read_csv(str(out / "report.csv"))
         assert [r[0] for r in rows[1:]] == ["setA", "setB"]
 
+    def test_rerun_into_reports_dir_skips_own_output(self, tmp_path):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        (reports / "a.csv").write_text(
+            "features,weighted_f1,macro_f1,sd_weighted_f1,sd_macro_f1\nsetA,0.5,0.5,0.0,0.0\n",
+            encoding="utf-8",
+        )
+        for _ in range(2):
+            assert main(["report", "--reports", str(reports), "--out", str(reports)]) == 0
+        rows = read_csv(str(reports / "report.csv"))
+        assert [r[0] for r in rows[1:]] == ["setA"]
+
 
 def assert_one_error_line(capsys, code):
     lines = capsys.readouterr().err.splitlines()

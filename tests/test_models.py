@@ -213,3 +213,16 @@ class TestPersistence:
         open(path, "w").write(json.dumps(payload))
         with pytest.raises(FeatureMismatch):
             load_model(path)
+
+    @pytest.mark.parametrize("text", [
+        '{"format_version": 1, "weights": [[0.5',
+        '{"format_version": 1}',
+        '[1]',
+        '{"format_version": 1, "weights": "x", "bias": [], "scaler_mean": [], "scaler_std": [],'
+        ' "feature_names": [], "classes": []}',
+    ], ids=["truncated", "no_weights", "not_an_object", "weights_not_numbers"])
+    def test_malformed_json(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(FeatureMismatch, match="model.json"):
+            load_model(str(path))
