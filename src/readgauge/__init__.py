@@ -7,7 +7,6 @@ from .lexical_features import mtld, surface_stats, traditional_scores, ttr_measu
 from .lexicons import NormTable, SenseTable, load_norms, load_senses, mean_rating, sense_features
 from .models import (
     LinearModel,
-    SvmConfig,
     fuse,
     grid_search_c,
     predict,

@@ -22,6 +22,7 @@ from .errors import (
     MalformedRow,
     MissingDoc,
     MissingFile,
+    MissingResource,
     MissingScore,
     ReadgaugeError,
 )
@@ -31,7 +32,7 @@ from .inputs import csv_rows, read_text
 from .labeling import as_classes, load_difficulty_order
 from .lexicons import load_norms, load_senses
 from .models import save_model
-from .pipeline import MODEL_KINDS, FeaturePipeline, PipelineConfig
+from .pipeline import FEATURE_SET_NAMES, MODEL_KINDS, FeaturePipeline, PipelineConfig
 from .pos_features import load_tag_lexicon
 from .textcore import Document, RawLabel, make_document
 
@@ -131,17 +132,22 @@ def build_resources(args) -> registry.Resources:
 
 
 def parse_feature_sets(values: list[str]) -> list[str]:
-    """Flatten repeated --features flags and '+'-joined sets, deduplicated."""
+    """Flatten repeated --features flags and '+'-joined sets, deduplicated.
+
+    An unknown name, or no name at all, raises ``MissingResource``.
+    """
     names: list[str] = []
     for value in values:
         for name in value.split("+"):
             name = name.strip()
             if not name:
                 continue
-            if name not in registry.KNOWN_SET_NAMES:
-                raise ReadgaugeError(f"unknown feature set {name!r}")
+            if name not in FEATURE_SET_NAMES:
+                raise MissingResource(f"unknown feature set {name!r}")
             if name not in names:
                 names.append(name)
+    if not names:
+        raise MissingResource(f"no feature set named in {values!r}")
     return names
 
 
@@ -174,7 +180,6 @@ def _pipeline(args, features: list[str], resources: registry.Resources, scores=N
 
 
 def cmd_synth(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
     manifest = synth.generate_corpus(args.out, n_docs=args.docs, n_classes=args.classes, seed=args.seed)
     print(manifest)
     return 0

@@ -51,10 +51,6 @@ class SupportViolation(ReadgaugeError):
     code = "SupportViolation"
 
 
-class MissingAges(ReadgaugeError):
-    code = "MissingAges"
-
-
 class UnknownClass(ReadgaugeError):
     code = "UnknownClass"
 

@@ -96,10 +96,17 @@ def _grammar(rules: list[Rule], start: Optional[str], terminals: set[str], where
     clash = terminals & nonterminals
     if clash:
         raise MalformedRule(f"{where}symbols both quoted and used as LHS: {sorted(clash)}")
+    start = start or rules[0].lhs
+    if start not in nonterminals:
+        raise MalformedRule(f"{where}start symbol {start!r} has no rules")
+    # A symbol no rule expands and no quote makes a terminal derives nothing.
+    dead = {s for r in rules for s in r.rhs} - nonterminals - terminals
+    if dead:
+        raise MalformedRule(f"{where}unquoted RHS symbols with no rules: {sorted(dead)}")
     grammar = Grammar(
         nonterminals=nonterminals,
         terminals=frozenset(terminals),
-        start=start or rules[0].lhs,
+        start=start,
         rules=tuple(rules),
     )
     validate(grammar)

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import MissingAges, UnknownClass
+from .errors import UnknownClass
 from .inputs import read_text
 from .textcore import RawLabel
 
@@ -32,26 +32,6 @@ def as_classes(
             order.append(lab.class_name)
         ids.append(index[lab.class_name])
     return ids, order
-
-
-def as_age_regression(label: RawLabel) -> float:
-    """Midpoint of the label's age range."""
-    if label.age_low is None or label.age_high is None:
-        raise MissingAges(f"label {label.class_name!r} has no age range")
-    return (label.age_low + label.age_high) / 2.0
-
-
-def as_ordered_regression(
-    labels: Sequence[RawLabel], difficulty_order: Sequence[str]
-) -> list[int]:
-    """Equidistant integer targets: position in the easiest-first order."""
-    index = {name: i for i, name in enumerate(difficulty_order)}
-    out = []
-    for lab in labels:
-        if lab.class_name not in index:
-            raise UnknownClass(lab.class_name)
-        out.append(index[lab.class_name])
-    return out
 
 
 def load_difficulty_order(path: str) -> list[str]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -51,11 +51,6 @@ LOGISTIC_LR = 1.0
 # Linear SVM: epochs and first step size (step t is SVM_LR / (1 + t)).
 SVM_EPOCHS = 500
 SVM_LR = 1.0
-
-
-@dataclass(frozen=True)
-class SvmConfig:
-    C: float = 1.0
 
 
 # Exponential grid for tuning the SVM's C, 2^-5 .. 2^15.
@@ -153,7 +148,7 @@ def train_logistic(
 def train_linear_svm(
     X: np.ndarray,
     y: Sequence[int],
-    cfg: SvmConfig = SvmConfig(),
+    C: float = 1.0,
     feature_names: Optional[Sequence[str]] = None,
 ) -> LinearModel:
     """One-vs-rest hinge subgradient descent; keeps the best checkpoint."""
@@ -163,17 +158,17 @@ def train_linear_svm(
     Xs, scaler = standardize(X)
     W = np.zeros((n_classes, X.shape[1]))
     b = np.zeros(n_classes)
-    best_loss, _, _ = hinge_loss_grad(W, b, Xs, y, cfg.C)
+    best_loss, _, _ = hinge_loss_grad(W, b, Xs, y, C)
     best_W, best_b = W.copy(), b.copy()
     for t in range(SVM_EPOCHS):
-        loss, grad_W, grad_b = hinge_loss_grad(W, b, Xs, y, cfg.C)
+        loss, grad_W, grad_b = hinge_loss_grad(W, b, Xs, y, C)
         if loss < best_loss:
             best_loss = loss
             best_W, best_b = W.copy(), b.copy()
         step = SVM_LR / (1.0 + t)
         W = W - step * grad_W
         b = b - step * grad_b
-    loss, _, _ = hinge_loss_grad(W, b, Xs, y, cfg.C)
+    loss, _, _ = hinge_loss_grad(W, b, Xs, y, C)
     if loss < best_loss:
         best_W, best_b = W, b
     return LinearModel(
@@ -201,7 +196,6 @@ def predict(model: LinearModel, X: np.ndarray, feature_names: Optional[Sequence[
 
 
 def grid_search_c(
-    trainer: Callable[[np.ndarray, np.ndarray, float], LinearModel],
     X: np.ndarray,
     y: Sequence[int],
     grid: Sequence[float],
@@ -225,7 +219,7 @@ def grid_search_c(
         for fold in range(folds):
             test_idx = [i for i in range(len(y)) if plan.assignments[ids[i]] == fold]
             train_idx = [i for i in range(len(y)) if plan.assignments[ids[i]] != fold]
-            model = trainer(X[train_idx], y[train_idx], c)
+            model = train_linear_svm(X[train_idx], y[train_idx], c)
             preds = predict(model, X[test_idx])
             _, weighted, _ = f1_scores(list(y[test_idx]), list(preds), n_classes)
             scores.append(weighted)

@@ -3,10 +3,10 @@
 ``fit_vocab`` and ``matrix`` are the single path from documents to a
 feature matrix: ``fit``, ``predict`` and the ``extract`` command all call
 them, so the columns of a features CSV are the columns a model is fit on.
-Fold-independent features are cached per document (they are pure functions
-of the text); everything fold-dependent — the word-type vocabulary, the
-scaler and the model — is fit inside ``fit`` from the training documents
-only.
+Fold-independent features come from ``registry`` and are cached per
+document (they are pure functions of the text); everything fold-dependent
+is fit inside ``fit`` from the training documents only: the word-type
+vocabulary and its ``wt_<word>`` columns, the scaler and the model.
 """
 
 from __future__ import annotations
@@ -17,11 +17,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import models, registry
-from .errors import FeatureMismatch, MissingScore
-from .models import LinearModel, SvmConfig
-from .textcore import Document
+from .errors import FeatureMismatch, MissingResource, MissingScore
+from .models import LinearModel
+from .textcore import Document, word_type_proportions
 
 MODEL_KINDS = ("svm", "logistic", "linear")
+
+# Every feature set a pipeline accepts: the registry's, plus the word types.
+FEATURE_SET_NAMES = (*registry.FEATURE_SETS, "word_types")
 
 
 @dataclass
@@ -72,9 +75,10 @@ class FeaturePipeline:
     def _doc_vector(self, doc: Document) -> dict[str, float]:
         feats = dict(self._static_features(doc))
         if "word_types" in self.config.feature_sets:
-            res = registry.Resources(vocab=self.vocab)
-            wt = registry.extract(doc, registry.resolve_set("word_types", self.vocab), res)
-            feats.update(wt)
+            if self.vocab is None:
+                raise MissingResource("word_types requires a fitted vocabulary")
+            props = word_type_proportions(doc, self.vocab)
+            feats.update((f"wt_{w}", v) for w, v in props.items())
         if self.scores is not None:
             if doc.doc_id not in self.scores:
                 raise MissingScore(f"no external score rows for doc {doc.doc_id!r}")
@@ -119,21 +123,11 @@ class FeaturePipeline:
         if self.config.model == "logistic":
             self.model = models.train_logistic(X, y, names)
         else:  # "linear" is the C=1 linear SVM without tuning
-            c = self._tune_c(X, y) if self.config.model == "svm" else 1.0
-            self.model = models.train_linear_svm(X, y, SvmConfig(C=c), names)
-
-    def _tune_c(self, X: np.ndarray, y: np.ndarray) -> float:
-        # Too few samples to cross-validate the grid meaningfully.
-        if len(y) < 10:
-            return SvmConfig().C
-
-        def trainer(Xt, yt, c):
-            return models.train_linear_svm(Xt, yt, SvmConfig(C=c))
-
-        return models.grid_search_c(
-            trainer, X, y, models.DEFAULT_C_GRID,
-            folds=min(5, len(y)), seed=self.config.seed,
-        )
+            c = 1.0
+            # Under 10 samples are too few to cross-validate the grid meaningfully.
+            if self.config.model == "svm" and len(y) >= 10:
+                c = models.grid_search_c(X, y, models.DEFAULT_C_GRID, seed=self.config.seed)
+            self.model = models.train_linear_svm(X, y, c, names)
 
     def predict(self, docs: Sequence[Document]) -> list[int]:
         assert self.model is not None, "fit before predict"

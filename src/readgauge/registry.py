@@ -1,9 +1,9 @@
 """Feature registry: named feature sets with stable ordering.
 
-The registry is the single source of truth for feature names and their
-order, so CSV headers, model files and fold reports never drift. Every
-member of a set resolves to one extractor group; groups are computed at
-most once per document.
+The registry is the single source of truth for fold-independent feature
+names and their order, so CSV headers, model files and fold reports never
+drift. Every member of a set resolves to one extractor group; groups are
+computed at most once per document. ``pipeline`` builds ``word_types``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .lexicons import (
     mean_rating,
     sense_features,
 )
-from .textcore import Document, word_type_proportions
+from .textcore import Document
 
 log = logging.getLogger(__name__)
 
@@ -47,7 +47,6 @@ class Resources:
     tag_lexicon: Optional[dict[str, str]] = None
     norm_tables: Optional[dict[str, NormTable]] = None
     sense_table: Optional[SenseTable] = None
-    vocab: Optional[list[str]] = None
 
 
 def _compute_traditional(doc: Document, res: Resources) -> dict[str, float]:
@@ -185,43 +184,26 @@ FEATURE_SETS: dict[str, FeatureSet] = {
     "linguistic": FeatureSet("linguistic", LINGUISTIC_MEMBERS),
 }
 
-# "word_types" is resolved dynamically from a fitted vocabulary.
-DYNAMIC_SETS = {"word_types"}
-KNOWN_SET_NAMES = set(FEATURE_SETS) | DYNAMIC_SETS
 
-
-def resolve_set(name: str, vocab: Optional[list[str]] = None) -> FeatureSet:
+def resolve_set(name: str) -> FeatureSet:
     if name in FEATURE_SETS:
         return FEATURE_SETS[name]
-    if name == "word_types":
-        if vocab is None:
-            raise MissingResource("word_types requires a fitted vocabulary")
-        return FeatureSet("word_types", tuple(f"wt_{w}" for w in vocab))
     raise MissingResource(f"unknown feature set {name!r}")
 
 
-def union_sets(names: list[str], vocab: Optional[list[str]] = None) -> FeatureSet:
+def union_sets(names: list[str]) -> FeatureSet:
     """Set-union with registry order: members ordered by first occurrence."""
     members: list[str] = []
     for name in names:
-        members.extend(resolve_set(name, vocab).members)
+        members.extend(resolve_set(name).members)
     return FeatureSet("+".join(names), _dedup(members))
 
 
 def extract(doc: Document, feature_set: FeatureSet, resources: Resources) -> dict[str, float]:
     """Compute every member of the set, in order, all values finite."""
     cache: dict[str, dict[str, float]] = {}
-    wt_cache: Optional[dict[str, float]] = None
     out: dict[str, float] = {}
     for member in feature_set.members:
-        if member.startswith("wt_"):
-            if wt_cache is None:
-                if resources.vocab is None:
-                    raise MissingResource("word_types requires a fitted vocabulary")
-                props = word_type_proportions(doc, resources.vocab)
-                wt_cache = {f"wt_{w}": v for w, v in props.items()}
-            out[member] = wt_cache[member]
-            continue
         group = NAME_TO_GROUP.get(member)
         if group is None:
             raise MissingResource(f"no extractor registered for feature {member!r}")

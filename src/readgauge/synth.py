@@ -14,6 +14,7 @@ import random
 from dataclasses import dataclass
 
 from . import data_files
+from .errors import BadSize
 
 CLASS_AGE_RANGES = {
     "level_0": (7.0, 8.0),
@@ -80,8 +81,10 @@ def generate_corpus(
     out_dir: str, n_docs: int = 600, n_classes: int = 3, seed: int = 7
 ) -> str:
     """Write a labeled corpus (docs/ + manifest.csv); returns the manifest path."""
-    if n_classes < 2 or n_classes > 3:
-        raise ValueError("n_classes must be 2 or 3")
+    if n_classes not in (2, 3):
+        raise BadSize(f"{n_classes} classes: the generator makes 2 or 3")
+    if n_docs < 1:
+        raise BadSize(f"{n_docs} documents: the generator makes at least 1")
     class_names = [f"level_{i}" for i in range(n_classes)]
     rng = random.Random(seed)
     docs_dir = os.path.join(out_dir, "docs")

@@ -9,6 +9,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 # Sentence-final abbreviations that must not trigger a split.
@@ -37,7 +38,9 @@ class Sentence:
     tokens: tuple[Token, ...]
     index_in_doc: int
 
-    @property
+    # Built once per object: cached_property stores the tuple in the instance
+    # __dict__, outside the dataclass fields, so equality and hashing ignore it.
+    @cached_property
     def word_tokens(self) -> tuple[Token, ...]:
         return tuple(t for t in self.tokens if t.is_word)
 
@@ -56,11 +59,11 @@ class Document:
     sentences: tuple[Sentence, ...]
     label: Optional[RawLabel] = None
 
-    @property
+    @cached_property
     def tokens(self) -> tuple[Token, ...]:
         return tuple(t for s in self.sentences for t in s.tokens)
 
-    @property
+    @cached_property
     def word_tokens(self) -> tuple[Token, ...]:
         return tuple(t for t in self.tokens if t.is_word)
 

@@ -9,7 +9,13 @@ from readgauge.cli import (
     main,
     parse_feature_sets,
 )
-from readgauge.errors import DuplicateId, MissingDoc, MissingFile, ReadgaugeError
+from readgauge.errors import (
+    DuplicateId,
+    MissingDoc,
+    MissingFile,
+    MissingResource,
+    ReadgaugeError,
+)
 from readgauge.labeling import as_classes
 from readgauge.pipeline import FeaturePipeline, PipelineConfig
 from readgauge.registry import Resources
@@ -47,6 +53,11 @@ class TestParseFeatureSets:
 
     def test_word_types_allowed(self):
         assert parse_feature_sets(["word_types"]) == ["word_types"]
+
+    @pytest.mark.parametrize("values", [["flesch+bogus"], ["+"], ["", " + "]])
+    def test_unknown_or_no_name_is_missing_resource(self, values):
+        with pytest.raises(MissingResource):
+            parse_feature_sets(values)
 
 
 class TestIngest:
@@ -119,6 +130,16 @@ class TestSynthCommand:
         docs_b = sorted((b / "docs").glob("*.txt"))
         assert any(x.read_text() != y.read_text() for x, y in zip(docs_a, docs_b))
 
+    @pytest.mark.parametrize("flags", [
+        ["--classes", "1"], ["--classes", "0"], ["--classes", "4"],
+        ["--docs", "0"], ["--docs", "-3"],
+    ])
+    def test_bad_size_exits_1(self, tmp_path, capsys, flags):
+        out = tmp_path / "s"
+        assert main(["synth", "--out", str(out)] + flags) == 1
+        assert_one_error_line(capsys, "BadSize")
+        assert not out.exists()
+
 
 class TestExtractCommand:
     def test_extract_and_rerun_byte_identical(self, small_corpus, tmp_path):
@@ -146,6 +167,15 @@ class TestExtractCommand:
         ])
         assert code == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_empty_feature_list_exits_1(self, small_corpus, tmp_path, capsys):
+        code = main([
+            "eval", "--manifest", manifest_of(small_corpus), "--features", "+",
+            "--model", "logistic", "--out", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        assert_one_error_line(capsys, "MissingResource")
+        assert not (tmp_path / "e").exists()
 
 
 class TestTrainEvalCommands:

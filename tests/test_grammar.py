@@ -75,6 +75,18 @@ class TestLoadGrammar:
         with pytest.raises(MalformedRule):
             load_grammar(write_grammar(tmp_path, "// nothing\n"))
 
+    def test_start_symbol_without_rules_rejected(self, tmp_path):
+        text = "S -> NP VP # 1.0\nNP -> 'dog' # 1.0\nVP -> 'runs' # 1.0\n%start SS\n"
+        with pytest.raises(MalformedRule) as err:
+            load_grammar(write_grammar(tmp_path, text))
+        assert "SS" in str(err.value)
+
+    def test_unexpanded_rhs_symbol_rejected(self, tmp_path):
+        text = "S -> NP VB # 1.0\nNP -> 'dog' # 1.0\n"
+        with pytest.raises(MalformedRule) as err:
+            load_grammar(write_grammar(tmp_path, text))
+        assert "VB" in str(err.value)
+
 
 def rule(lhs, rhs, prob):
     return Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob))

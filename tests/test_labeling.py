@@ -1,12 +1,7 @@
 import pytest
 
-from readgauge.errors import MissingAges, UnknownClass
-from readgauge.labeling import (
-    as_age_regression,
-    as_classes,
-    as_ordered_regression,
-    load_difficulty_order,
-)
+from readgauge.errors import UnknownClass
+from readgauge.labeling import as_classes, load_difficulty_order
 from readgauge.textcore import RawLabel
 
 
@@ -31,34 +26,6 @@ class TestAsClasses:
 
     def test_empty(self):
         assert as_classes([]) == ([], [])
-
-
-class TestAgeRegression:
-    def test_midpoint(self):
-        # age range 7-8 maps to 7.5
-        assert as_age_regression(RawLabel("level_0", 7.0, 8.0)) == pytest.approx(7.5)
-
-    def test_missing_ages(self):
-        with pytest.raises(MissingAges):
-            as_age_regression(RawLabel("x"))
-        with pytest.raises(MissingAges):
-            as_age_regression(RawLabel("x", age_low=7.0))
-
-
-class TestOrderedRegression:
-    def test_positions(self):
-        # order [A, B, C], labels [C, A] -> [2, 0]
-        out = as_ordered_regression(labels("C", "A"), ["A", "B", "C"])
-        assert out == [2, 0]
-
-    def test_equidistant(self):
-        out = as_ordered_regression(labels("A", "B", "C"), ["A", "B", "C"])
-        assert out == [0, 1, 2]
-        assert out[1] - out[0] == out[2] - out[1]
-
-    def test_unknown(self):
-        with pytest.raises(UnknownClass):
-            as_ordered_regression(labels("Z"), ["A"])
 
 
 class TestDifficultyOrder:

@@ -9,7 +9,6 @@ from readgauge.errors import (
 )
 from readgauge.models import (
     DEFAULT_C_GRID,
-    SvmConfig,
     fuse,
     grid_search_c,
     hinge_loss_grad,
@@ -103,7 +102,7 @@ class TestTraining:
 
     def test_svm_separable(self):
         X, y = blobs(seed=4)
-        model = train_linear_svm(X, y, SvmConfig(C=8.0))
+        model = train_linear_svm(X, y, C=8.0)
         preds = predict(model, X)
         assert (preds == y).mean() >= 0.95
 
@@ -146,12 +145,8 @@ class TestPredict:
 class TestGridSearch:
     def test_ties_prefer_smallest_c(self):
         X, y = blobs(n_per_class=10, sep=50.0)
-
-        def trainer(Xt, yt, c):
-            return train_linear_svm(Xt, yt, SvmConfig(C=c))
-
         # every C in a tight grid separates this data perfectly
-        best = grid_search_c(trainer, X, y, [4.0, 1.0, 2.0], folds=3, seed=0)
+        best = grid_search_c(X, y, [4.0, 1.0, 2.0], folds=3, seed=0)
         assert best == 1.0
 
     def test_default_grid_is_exponential(self):
@@ -162,7 +157,7 @@ class TestGridSearch:
 
     def test_empty_grid(self):
         with pytest.raises(ValueError):
-            grid_search_c(lambda *a: None, np.zeros((4, 1)), [0, 1, 0, 1], [])
+            grid_search_c(np.zeros((4, 1)), [0, 1, 0, 1], [])
 
 
 class TestFuse:

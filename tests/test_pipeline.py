@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from readgauge.errors import MissingScore
+from readgauge.errors import MissingResource, MissingScore
 from readgauge.pipeline import FeaturePipeline, PipelineConfig
 from readgauge.registry import Resources
 from readgauge.textcore import make_document
@@ -62,6 +62,21 @@ class TestWordTypes:
         # unseen words at predict time do not widen the matrix
         preds = pipe.predict([make_document("c", "durian banana")])
         assert preds[0] in (0, 1)
+
+    def test_columns_are_word_proportions(self):
+        pipe = FeaturePipeline(PipelineConfig(feature_sets=["word_types"]), Resources())
+        doc = make_document("d", "a b a")
+        pipe.fit_vocab([doc])
+        assert pipe.vocab == ["a", "b"]
+        X, names = pipe.matrix([doc])
+        assert names == ("wt_a", "wt_b")
+        assert X[0].tolist() == [pytest.approx(2 / 3), pytest.approx(1 / 3)]
+
+    def test_matrix_before_fit_vocab_raises(self):
+        cfg = PipelineConfig(feature_sets=["flesch", "word_types"])
+        pipe = FeaturePipeline(cfg, Resources())
+        with pytest.raises(MissingResource):
+            pipe.matrix([make_document("d", "a b a")])
 
 
 class TestFusion:

@@ -57,12 +57,6 @@ class TestResolveAndUnion:
         with pytest.raises(MissingResource):
             resolve_set("nope")
 
-    def test_word_types_requires_vocab(self):
-        with pytest.raises(MissingResource):
-            resolve_set("word_types")
-        fs = resolve_set("word_types", vocab=["cat", "dog"])
-        assert fs.members == ("wt_cat", "wt_dog")
-
     def test_union_dedups_preserving_first_occurrence(self):
         fs = union_sets(["flesch", "linguistic"])
         assert fs.members[: len(FEATURE_SETS["flesch"].members)] == FEATURE_SETS["flesch"].members
@@ -96,13 +90,6 @@ class TestExtract:
         out = extract(doc, FEATURE_SETS["linguistic"], demo_resources)
         assert list(out) == list(FEATURE_SETS["linguistic"].members)
         assert all(math.isfinite(v) for v in out.values())
-
-    def test_word_types_extraction(self):
-        doc = make_document("d", "a b a")
-        res = Resources(vocab=["a", "b"])
-        fs = resolve_set("word_types", vocab=res.vocab)
-        out = extract(doc, fs, res)
-        assert out == {"wt_a": pytest.approx(2 / 3), "wt_b": pytest.approx(1 / 3)}
 
     def test_unparseable_sentences_zero_not_error(self, demo_resources):
         # nonsense words tag via suffixes but never parse: syntactic features 0
