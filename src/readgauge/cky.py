@@ -201,8 +201,3 @@ def _merge_kbest(options: list[tuple[CnfRule, list[Item], list[Item]]], k: int) 
             end += 1
         del out[end:]
     return out
-
-
-def cky_kbest(grammar: Grammar, tokens: list[str], k: int) -> KBestList:
-    """One-shot k-best parse (builds a Parser; reuse Parser for many calls)."""
-    return Parser(grammar).kbest(tokens, k)

@@ -237,18 +237,3 @@ def binarize_cnf(grammar: Grammar) -> list[CnfRule]:
                 cnf.append(CnfRule(lhs=prev, rhs=(symbols[-2], symbols[-1]), log_prob=0.0))
     return cnf
 
-
-def binarize(grammar: Grammar) -> Grammar:
-    """Public CNF view: all rules (NT -> NT NT) or (NT -> terminal)."""
-    cnf = binarize_cnf(grammar)
-    rules = [
-        Rule(lhs=r.lhs, rhs=r.rhs, prob=math.exp(r.log_prob), log_prob=r.log_prob)
-        for r in cnf
-    ]
-    nonterminals = frozenset(r.lhs for r in rules)
-    return Grammar(
-        nonterminals=nonterminals,
-        terminals=frozenset(s for r in rules for s in r.rhs if s not in nonterminals),
-        start=grammar.start,
-        rules=tuple(rules),
-    )

@@ -4,6 +4,11 @@ Logistic regression uses deterministic full-batch gradient descent with
 backtracking on the multinomial cross-entropy; the SVM uses one-vs-rest
 hinge subgradient descent, returning the best-objective checkpoint. Both
 are deterministic given identical inputs.
+
+The SVM's C-grid search fits every C of an inner fold together, as one
+stack of weight matrices over the fold's shared rows; each slice's
+arithmetic is that of a separate fit, so the weights, and the chosen C,
+are bitwise equal to fitting each C alone.
 """
 
 from __future__ import annotations
@@ -96,21 +101,77 @@ def softmax_loss_grad(
     return loss, grad_W, grad_b
 
 
+def _targets(y: np.ndarray, n_classes: int) -> np.ndarray:
+    """One-vs-rest targets: +1 in each row's class column, -1 elsewhere."""
+    Y = -np.ones((len(y), n_classes))
+    Y[np.arange(len(y)), y] = 1.0
+    return Y
+
+
+def _hinge_stack(
+    W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray, Cs: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hinge losses (G,) and subgradients of G weight slices on the same rows.
+
+    Slice g is ``W[g]`` (classes, d), ``b[g]`` and ``Cs[g]``; every slice
+    gets one matmul of the shapes a single fit would use.
+    """
+    n = X.shape[0]
+    margins = Y * (X @ W.transpose(0, 2, 1) + b[:, None, :])
+    hinge = np.maximum(0.0, 1.0 - margins)
+    loss = 0.5 * (W * W).sum(axis=(1, 2)) + Cs * hinge.sum(axis=(1, 2)) / n
+    active = (hinge > 0).astype(float) * Y  # (G, n, classes)
+    grad_W = W - Cs[:, None, None] * (active.transpose(0, 2, 1) @ X) / n
+    grad_b = -Cs[:, None] * active.sum(axis=1) / n
+    return loss, grad_W, grad_b
+
+
 def hinge_loss_grad(
     W: np.ndarray, b: np.ndarray, X: np.ndarray, y: np.ndarray, C: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """One-vs-rest L2-regularized mean hinge loss and a subgradient."""
-    n, _ = X.shape
-    n_classes = W.shape[0]
-    Y = -np.ones((n, n_classes))
-    Y[np.arange(n), y] = 1.0
-    margins = Y * (X @ W.T + b)
-    hinge = np.maximum(0.0, 1.0 - margins)
-    loss = 0.5 * float((W * W).sum()) + C * float(hinge.sum()) / n
-    active = (hinge > 0).astype(float) * Y  # (n, classes)
-    grad_W = W - C * (active.T @ X) / n
-    grad_b = -C * active.sum(axis=0) / n
-    return loss, grad_W, grad_b
+    Y = _targets(y, W.shape[0])
+    loss, grad_W, grad_b = _hinge_stack(W[None], b[None], X, Y, np.array([float(C)]))
+    return float(loss[0]), grad_W[0], grad_b[0]
+
+
+def _svm_fit_stack(
+    Xs: np.ndarray, y: np.ndarray, n_classes: int, Cs: Sequence[float]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Hinge subgradient descent for every C in ``Cs`` on one standardized matrix.
+
+    Returns weights (G, classes, d) and biases (G, classes): each slice's
+    best-objective checkpoint, bitwise equal to a fit with that C alone.
+    """
+    Cs = np.asarray(Cs, dtype=float)
+    Y = _targets(y, n_classes)
+    W = np.zeros((Cs.size, n_classes, Xs.shape[1]))
+    b = np.zeros((Cs.size, n_classes))
+    best_W, best_b = W.copy(), b.copy()
+    best_loss = np.full(Cs.size, np.inf)
+    # Pass SVM_EPOCHS only scores the final weights; its step is discarded.
+    for t in range(SVM_EPOCHS + 1):
+        loss, grad_W, grad_b = _hinge_stack(W, b, Xs, Y, Cs)
+        better = loss < best_loss
+        best_loss[better] = loss[better]
+        best_W[better] = W[better]
+        best_b[better] = b[better]
+        step = SVM_LR / (1.0 + t)
+        W = W - step * grad_W
+        b = b - step * grad_b
+    return best_W, best_b
+
+
+def _linear_model(
+    W: np.ndarray, b: np.ndarray, scaler: Scaler, feature_names: Optional[Sequence[str]]
+) -> LinearModel:
+    return LinearModel(
+        weights=W,
+        bias=b,
+        scaler=scaler,
+        feature_names=tuple(feature_names or (f"f{i}" for i in range(W.shape[1]))),
+        classes=tuple(range(W.shape[0])),
+    )
 
 
 def train_logistic(
@@ -136,13 +197,7 @@ def train_logistic(
         else:
             break
         W, b, loss, grad_W, grad_b = W_new, b_new, new_loss, new_gW, new_gb
-    return LinearModel(
-        weights=W,
-        bias=b,
-        scaler=scaler,
-        feature_names=tuple(feature_names or (f"f{i}" for i in range(X.shape[1]))),
-        classes=tuple(range(n_classes)),
-    )
+    return _linear_model(W, b, scaler, feature_names)
 
 
 def train_linear_svm(
@@ -156,28 +211,8 @@ def train_linear_svm(
     y = np.asarray(y, dtype=int)
     _, n_classes = _check_labels(y)
     Xs, scaler = standardize(X)
-    W = np.zeros((n_classes, X.shape[1]))
-    b = np.zeros(n_classes)
-    best_loss, _, _ = hinge_loss_grad(W, b, Xs, y, C)
-    best_W, best_b = W.copy(), b.copy()
-    for t in range(SVM_EPOCHS):
-        loss, grad_W, grad_b = hinge_loss_grad(W, b, Xs, y, C)
-        if loss < best_loss:
-            best_loss = loss
-            best_W, best_b = W.copy(), b.copy()
-        step = SVM_LR / (1.0 + t)
-        W = W - step * grad_W
-        b = b - step * grad_b
-    loss, _, _ = hinge_loss_grad(W, b, Xs, y, C)
-    if loss < best_loss:
-        best_W, best_b = W, b
-    return LinearModel(
-        weights=best_W,
-        bias=best_b,
-        scaler=scaler,
-        feature_names=tuple(feature_names or (f"f{i}" for i in range(X.shape[1]))),
-        classes=tuple(range(n_classes)),
-    )
+    W, b = _svm_fit_stack(Xs, y, n_classes, [C])
+    return _linear_model(W[0], b[0], scaler, feature_names)
 
 
 def predict(model: LinearModel, X: np.ndarray, feature_names: Optional[Sequence[str]] = None) -> np.ndarray:
@@ -202,7 +237,10 @@ def grid_search_c(
     folds: int = 5,
     seed: int = 0,
 ) -> float:
-    """C maximizing mean k-fold weighted F1; ties go to the smallest C."""
+    """C maximizing mean k-fold weighted F1; ties go to the smallest C.
+
+    Each inner fold fits the whole grid in one ``_svm_fit_stack`` call.
+    """
     from .evaluation import f1_scores, kfold
 
     if not grid:
@@ -212,18 +250,23 @@ def grid_search_c(
     n_classes = int(y.max()) + 1
     ids = [str(i) for i in range(len(y))]
     plan = kfold(ids, list(y), k=folds, seed=seed, stratified=True)
+    fold_of = np.array([plan.assignments[i] for i in ids])
+    Cs = sorted(grid)
+    scores: list[list[float]] = [[] for _ in Cs]
+    for fold in range(folds):
+        test = fold_of == fold
+        y_train = y[~test]
+        _, fold_classes = _check_labels(y_train)
+        Xs, scaler = standardize(X[~test])
+        W, b = _svm_fit_stack(Xs, y_train, fold_classes, Cs)
+        for g in range(len(Cs)):
+            preds = predict(_linear_model(W[g], b[g], scaler, None), X[test])
+            _, weighted, _ = f1_scores(list(y[test]), list(preds), n_classes)
+            scores[g].append(weighted)
     best_c = None
     best_score = -1.0
-    for c in sorted(grid):
-        scores = []
-        for fold in range(folds):
-            test_idx = [i for i in range(len(y)) if plan.assignments[ids[i]] == fold]
-            train_idx = [i for i in range(len(y)) if plan.assignments[ids[i]] != fold]
-            model = train_linear_svm(X[train_idx], y[train_idx], c)
-            preds = predict(model, X[test_idx])
-            _, weighted, _ = f1_scores(list(y[test_idx]), list(preds), n_classes)
-            scores.append(weighted)
-        mean_score = sum(scores) / len(scores)
+    for c, c_scores in zip(Cs, scores):
+        mean_score = sum(c_scores) / len(c_scores)
         if mean_score > best_score:
             best_score = mean_score
             best_c = c

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MissingLexicon, SupportViolation
+from .errors import MalformedRow, MissingLexicon, SupportViolation
 from .inputs import csv_rows
 from .textcore import Document, ratio
 
@@ -79,7 +79,13 @@ class TaggedDocument:
 def load_tag_lexicon(path: str) -> dict[str, str]:
     """Load a ``word,tag`` CSV mapping lowercased words to Penn tags."""
     _, rows = csv_rows(path, width=2)
-    return {word.strip().lower(): tag.strip() for _, (word, tag) in rows}
+    lexicon = {}
+    for rownum, (word, tag) in rows:
+        word, tag = word.strip().lower(), tag.strip()
+        if not word or not tag:
+            raise MalformedRow(f"{path}: row {rownum}: empty {'tag' if word else 'word'}")
+        lexicon[word] = tag
+    return lexicon
 
 
 def _suffix_tag(surface: str, position: int) -> str:

@@ -2,7 +2,9 @@
 
 These deliberately avoid the library's own algorithms: derivations are
 enumerated recursively over the original (non-binarized) grammar, and the
-feature formulas are recomputed from scratch.
+feature formulas are recomputed from scratch. The SVM references are the
+plain sequential loops: one fit per C and inner fold, and one public
+``hinge_loss_grad`` call per epoch.
 """
 
 from __future__ import annotations
@@ -11,8 +13,19 @@ import math
 import random
 from functools import lru_cache
 
+import numpy as np
+
 from readgauge.cky import ParseTree
+from readgauge.evaluation import f1_scores, kfold
 from readgauge.grammar import Grammar, Rule, make_grammar
+from readgauge.models import (
+    SVM_EPOCHS,
+    SVM_LR,
+    LinearModel,
+    hinge_loss_grad,
+    predict,
+    standardize,
+)
 
 
 def enumerate_derivations(grammar: Grammar, tokens: tuple[str, ...], cap: int = 100000):
@@ -274,3 +287,55 @@ def oracle_f1(y_true, y_pred, n_classes):
     weighted = sum(s * f for s, f in zip(supports, per_class)) / total if total else 0.0
     macro = sum(per_class) / n_classes if n_classes else 0.0
     return per_class, weighted, macro
+
+
+def oracle_train_svm(X, y, C, feature_names=None):
+    """The linear SVM fit one epoch at a time; keeps the best checkpoint."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n_classes = int(y.max()) + 1
+    Xs, scaler = standardize(X)
+    W = np.zeros((n_classes, X.shape[1]))
+    b = np.zeros(n_classes)
+    best_loss, _, _ = hinge_loss_grad(W, b, Xs, y, C)
+    best_W, best_b = W.copy(), b.copy()
+    for t in range(SVM_EPOCHS):
+        loss, grad_W, grad_b = hinge_loss_grad(W, b, Xs, y, C)
+        if loss < best_loss:
+            best_loss = loss
+            best_W, best_b = W.copy(), b.copy()
+        step = SVM_LR / (1.0 + t)
+        W = W - step * grad_W
+        b = b - step * grad_b
+    loss, _, _ = hinge_loss_grad(W, b, Xs, y, C)
+    if loss < best_loss:
+        best_W, best_b = W, b
+    return LinearModel(
+        weights=best_W,
+        bias=best_b,
+        scaler=scaler,
+        feature_names=tuple(feature_names or (f"f{i}" for i in range(X.shape[1]))),
+        classes=tuple(range(n_classes)),
+    )
+
+
+def oracle_grid_search_c(X, y, grid, folds=5, seed=0):
+    """C by mean inner-fold weighted F1, one ``oracle_train_svm`` per (C, fold)."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=int)
+    n_classes = int(y.max()) + 1
+    ids = [str(i) for i in range(len(y))]
+    plan = kfold(ids, list(y), k=folds, seed=seed, stratified=True)
+    best_c, best_score = None, -1.0
+    for c in sorted(grid):
+        scores = []
+        for fold in range(folds):
+            test_idx = [i for i in range(len(y)) if plan.assignments[ids[i]] == fold]
+            train_idx = [i for i in range(len(y)) if plan.assignments[ids[i]] != fold]
+            model = oracle_train_svm(X[train_idx], y[train_idx], c)
+            preds = predict(model, X[test_idx])
+            scores.append(f1_scores(list(y[test_idx]), list(preds), n_classes)[1])
+        mean_score = sum(scores) / len(scores)
+        if mean_score > best_score:
+            best_score, best_c = mean_score, c
+    return float(best_c)

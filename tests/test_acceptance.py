@@ -130,7 +130,7 @@ def test_acceptance_1_formula_oracles():
 
 
 def test_acceptance_2_kbest_vs_enumeration():
-    """cky_kbest vs exhaustive enumeration on 50 random small PCFGs."""
+    """Parser.kbest vs exhaustive enumeration on 50 random small PCFGs."""
     rng = random.Random(2026)
     start = time.monotonic()
     ok = True

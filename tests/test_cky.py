@@ -4,7 +4,7 @@ import random
 import pytest
 
 from oracles import enumerate_derivations, random_grammar
-from readgauge.cky import Parser, cky_kbest
+from readgauge.cky import Parser
 from readgauge.errors import NoParse
 from readgauge.grammar import Rule, make_grammar
 
@@ -32,13 +32,13 @@ def catalan_grammar():
 
 class TestKbestExamples:
     def test_single_derivation(self, ab_grammar):
-        kbest = cky_kbest(ab_grammar, ["a", "b"], 5)
+        kbest = Parser(ab_grammar).kbest(["a", "b"], 5)
         assert len(kbest.parses) == 1
         assert kbest.parses[0].log_prob == pytest.approx(math.log(0.24), abs=1e-12)
         assert kbest.parses[0].serialize() == "(S (A a) (A b))"
 
     def test_two_branchings_equal_probability(self, catalan_grammar):
-        kbest = cky_kbest(catalan_grammar, ["a", "a", "a"], 10)
+        kbest = Parser(catalan_grammar).kbest(["a", "a", "a"], 10)
         assert len(kbest.parses) == 2
         expected = math.log(0.3**2 * 0.7**3)
         for p in kbest.parses:
@@ -53,20 +53,20 @@ class TestKbestExamples:
 
     def test_oov_token_raises(self, ab_grammar):
         with pytest.raises(NoParse) as err:
-            cky_kbest(ab_grammar, ["z"], 1)
+            Parser(ab_grammar).kbest(["z"], 1)
         assert "z" in str(err.value)
 
     def test_no_derivation_raises(self, ab_grammar):
         # odd-length sentences can't be derived from S -> A A
         with pytest.raises(NoParse):
-            cky_kbest(ab_grammar, ["a"], 1)
+            Parser(ab_grammar).kbest(["a"], 1)
 
     def test_k_truncates(self, catalan_grammar):
-        kbest = cky_kbest(catalan_grammar, ["a", "a", "a"], 1)
+        kbest = Parser(catalan_grammar).kbest(["a", "a", "a"], 1)
         assert len(kbest.parses) == 1
 
     def test_requested_k_recorded(self, catalan_grammar):
-        kbest = cky_kbest(catalan_grammar, ["a", "a"], 7)
+        kbest = Parser(catalan_grammar).kbest(["a", "a"], 7)
         assert kbest.requested_k == 7
         assert len(kbest.parses) == 1
 
@@ -150,7 +150,7 @@ class TestInvariants:
 
     def test_parse_trees_yield_tokens(self, catalan_grammar):
         toks = ["a", "a", "a", "a"]
-        kbest = cky_kbest(catalan_grammar, toks, 100)
+        kbest = Parser(catalan_grammar).kbest(toks, 100)
 
         def leaves(t):
             if isinstance(t, str):
@@ -171,7 +171,7 @@ class TestInvariants:
             rule("B", ["b"], 1.0),
             rule("C", ["c"], 1.0),
         ])
-        kbest = cky_kbest(g, ["a", "b", "c"], 5)
+        kbest = Parser(g).kbest(["a", "b", "c"], 5)
         assert kbest.parses[0].serialize() == "(S (A a) (B b) (C c))"
         assert kbest.parses[0].log_prob == pytest.approx(0.0)
 

@@ -399,6 +399,18 @@ class TestInputBoundary:
         assert code == 1
         assert_one_error_line(capsys, "MalformedRow")
 
+    @pytest.mark.parametrize("row", ["dog,", ",NN"], ids=["empty_tag", "empty_word"])
+    def test_tag_lexicon_empty_field(self, small_corpus, tmp_path, capsys, row):
+        lexicon = tmp_path / "tags.csv"
+        lexicon.write_text(f"word,tag\nthe,DT\n{row}\n", encoding="utf-8")
+        code = main([
+            "extract", "--manifest", manifest_of(small_corpus), "--features", "pos",
+            "--tag-lexicon", str(lexicon), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "MalformedRow")
+        assert "tags.csv" in line and "row 3" in line
+
     def test_report_over_eval_output_ranks_summary_only(self, small_corpus, tmp_path, capsys):
         evals = tmp_path / "eval"
         assert main([

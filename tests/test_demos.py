@@ -7,7 +7,7 @@ import pytest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-@pytest.mark.parametrize("script", ["parse_ambiguity.py", "feature_tour.py"])
+@pytest.mark.parametrize("script", ["parse_ambiguity.py", "feature_tour.py", "end_to_end_eval.py"])
 def test_demo_runs(script, tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     proc = subprocess.run(

@@ -10,7 +10,6 @@ from readgauge.errors import (
 )
 from readgauge.grammar import (
     Rule,
-    binarize,
     binarize_cnf,
     is_intermediate,
     load_grammar,
@@ -166,13 +165,14 @@ class TestBinarize:
             rule("B", ["b"], 1.0),
             rule("C", ["c"], 1.0),
         ])
-        cnf = binarize(g)
-        for r in cnf.rules:
+        cnf = binarize_cnf(g)
+        lhs = {r.lhs for r in cnf}
+        for r in cnf:
             assert len(r.rhs) in (1, 2)
             if len(r.rhs) == 1:
-                assert r.rhs[0] in cnf.terminals
+                assert r.rhs[0] in g.terminals and r.rhs[0] not in lhs
             else:
-                assert all(s in cnf.nonterminals for s in r.rhs)
+                assert all(s in lhs for s in r.rhs)
 
     def test_probability_mass_preserved_per_lhs(self):
         # Sum over CNF expansions per original LHS equals the original sums.

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from oracles import oracle_grid_search_c, oracle_train_svm
 from readgauge.errors import (
     DegenerateLabels,
     FeatureMismatch,
@@ -9,6 +10,7 @@ from readgauge.errors import (
 )
 from readgauge.models import (
     DEFAULT_C_GRID,
+    _svm_fit_stack,
     fuse,
     grid_search_c,
     hinge_loss_grad,
@@ -158,6 +160,54 @@ class TestGridSearch:
     def test_empty_grid(self):
         with pytest.raises(ValueError):
             grid_search_c(np.zeros((4, 1)), [0, 1, 0, 1], [])
+
+
+def svm_case(name):
+    """Overlapping blobs where the C-grid's choice depends on the data."""
+    if name == "two_classes":
+        return blobs(n_per_class=13, n_classes=2, n_features=3, seed=1, sep=1.0)
+    if name == "one_column":
+        return blobs(n_per_class=10, n_classes=3, n_features=1, seed=3, sep=1.0)
+    X, y = blobs(n_per_class=12, n_classes=3, n_features=4, seed=0, sep=1.5)
+    if name == "constant_column":
+        X[:, 2] = 5.0
+    return X, y
+
+
+SVM_CASES = ["two_classes", "three_classes", "constant_column", "one_column"]
+UNSORTED_GRID = [8.0, 0.25, 2.0**15, 1.0, 8.0]  # with a duplicate value
+
+
+class TestStackedSvmMatchesSequential:
+    """The stacked C-grid kernel against the one-fit-at-a-time reference, bit for bit."""
+
+    @pytest.mark.parametrize("C", [2.0**-5, 1.0, 8.0, 2.0**15])
+    @pytest.mark.parametrize("case", SVM_CASES)
+    def test_train_linear_svm(self, case, C):
+        X, y = svm_case(case)
+        got, want = train_linear_svm(X, y, C), oracle_train_svm(X, y, C)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.bias, want.bias)
+
+    @pytest.mark.parametrize("case", SVM_CASES)
+    def test_every_stacked_slice(self, case):
+        X, y = svm_case(case)
+        Xs, _ = standardize(X)
+        W, b = _svm_fit_stack(Xs, y, int(y.max()) + 1, UNSORTED_GRID)
+        for g, c in enumerate(UNSORTED_GRID):
+            want = oracle_train_svm(X, y, c)
+            assert np.array_equal(W[g], want.weights)
+            assert np.array_equal(b[g], want.bias)
+
+    @pytest.mark.parametrize("case, grid", [
+        *((case, UNSORTED_GRID) for case in SVM_CASES),
+        ("three_classes", list(DEFAULT_C_GRID)),
+        ("one_column", list(DEFAULT_C_GRID)),
+    ])
+    def test_grid_search_c(self, case, grid):
+        # 26, 30 and 36 rows: the 26- and 36-row cases have unequal inner folds
+        X, y = svm_case(case)
+        assert grid_search_c(X, y, grid, folds=5, seed=3) == oracle_grid_search_c(X, y, grid, folds=5, seed=3)
 
 
 class TestFuse:

@@ -1,7 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
+from oracles import oracle_grid_search_c, oracle_train_svm
+from readgauge import models
 from readgauge.errors import MissingResource, MissingScore
+from readgauge.evaluation import cross_validate
 from readgauge.pipeline import FeaturePipeline, PipelineConfig
 from readgauge.registry import Resources
 from readgauge.textcore import make_document
@@ -49,6 +54,36 @@ class TestFitPredict:
         pipe = flesch_pipeline()
         with pytest.raises(AssertionError):
             pipe.predict([make_document("d", "Hi.")])
+
+
+def noisy_corpus(n=30, seed=0):
+    """Two classes whose long-word rates overlap, so no C separates them all."""
+    rng = random.Random(seed)
+    short = ["cat", "dog", "sun", "run", "big", "red", "hat", "sat"]
+    long = ["remarkable", "consideration", "independently", "circumstance", "elaborate", "sophisticated"]
+    docs, labels = [], []
+    for i in range(n):
+        p_long = 0.3 + 0.2 * (i % 2)
+        sentences = []
+        for _ in range(rng.randint(2, 4)):
+            words = [rng.choice(long) if rng.random() < p_long else rng.choice(short)
+                     for _ in range(rng.randint(4, 12))]
+            sentences.append(" ".join(words).capitalize() + ".")
+        docs.append(make_document(f"d{i}", " ".join(sentences)))
+        labels.append(i % 2)
+    return docs, labels
+
+
+class TestSvmMatchesSequentialFits:
+    def test_cross_validate_fold_scores(self, monkeypatch):
+        docs, labels = noisy_corpus()
+        got = cross_validate(flesch_pipeline(model="svm"), docs, labels, 2, k=3)
+        monkeypatch.setattr(models, "grid_search_c", oracle_grid_search_c)
+        monkeypatch.setattr(models, "train_linear_svm", oracle_train_svm)
+        want = cross_validate(flesch_pipeline(model="svm"), docs, labels, 2, k=3)
+        assert got.fold_weighted == want.fold_weighted
+        assert got.fold_macro == want.fold_macro
+        assert min(got.fold_weighted) < 1.0
 
 
 class TestWordTypes:
