@@ -1,6 +1,6 @@
 """Command-line surface: synth, extract, train, eval, ablate, report.
 
-All outputs are CSV files written atomically; reruns with identical inputs
+Every output file is written atomically; reruns with identical inputs
 and seeds produce byte-identical artifacts. Errors exit nonzero with a
 one-line machine-parsable message on stderr.
 """
@@ -28,7 +28,7 @@ from .errors import (
 )
 from .evaluation import cross_validate, size_ablation
 from .grammar import load_grammar
-from .inputs import csv_rows, read_text
+from .inputs import csv_rows, read_text, write_atomic
 from .labeling import as_classes, load_difficulty_order
 from .lexicons import load_norms, load_senses
 from .models import save_model
@@ -41,15 +41,9 @@ _SUMMARY_HEADER = ["features", "weighted_f1", "macro_f1", "sd_weighted_f1", "sd_
 
 def _write_csv(out_dir: str, name: str, header: list[str], rows: list[list]) -> str:
     """Write ``out_dir/name`` atomically, creating ``out_dir``; returns the path."""
-    os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, name)
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-    os.replace(tmp, path)
-    return path
+    return write_atomic(
+        os.path.join(out_dir, name), lambda fh: csv.writer(fh).writerows([header, *rows])
+    )
 
 
 def _fmt(x: float) -> str:
@@ -202,7 +196,6 @@ def cmd_train(args) -> int:
     docs, resources, labels, _ = _load_corpus(args)
     pipe = _pipeline(args, args.features, resources, _fused_scores(args, docs))
     pipe.fit(docs, labels)
-    os.makedirs(args.out, exist_ok=True)
     out_path = os.path.join(args.out, "model.json")
     save_model(pipe.model, out_path)
     print(out_path)

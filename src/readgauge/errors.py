@@ -19,6 +19,10 @@ class BadEncoding(ReadgaugeError):
     code = "BadEncoding"
 
 
+class BadOutput(ReadgaugeError):
+    code = "BadOutput"
+
+
 class MalformedRow(ReadgaugeError):
     code = "MalformedRow"
 

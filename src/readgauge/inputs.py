@@ -1,17 +1,21 @@
-"""How an input file becomes text and CSV rows.
+"""How an input file becomes text and CSV rows, and how an output file is written.
 
 Every file the toolkit reads goes through ``read_text`` or ``csv_rows``, so a
 missing file, bytes that are not UTF-8 and a CSV the ``csv`` module rejects
-all end in a ``ReadgaugeError`` naming the file, never in a traceback.
+all end in a ``ReadgaugeError`` naming the file, never in a traceback. Every
+output file but a synthetic document goes through ``write_atomic``, so a path
+that cannot be written ends in ``BadOutput`` and never in a partial file.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
-from typing import Optional
+import os
+from typing import Callable, Optional, TextIO
 
-from .errors import BadEncoding, MalformedRow, MissingFile
+from .errors import BadEncoding, BadOutput, MalformedRow, MissingFile
 
 
 def _decode(path: str, newline: Optional[str]) -> str:
@@ -27,6 +31,25 @@ def _decode(path: str, newline: Optional[str]) -> str:
 def read_text(path: str) -> str:
     """The UTF-8 text of ``path``, with ``\\r\\n`` and ``\\r`` read as ``\\n``."""
     return _decode(path, None)
+
+
+def write_atomic(path: str, write: Callable[[TextIO], None]) -> str:
+    """Create ``path``'s directory, let ``write`` fill a UTF-8 temporary file
+    opened with ``newline=""``, then rename it to ``path``; returns ``path``.
+
+    Any ``OSError`` removes the temporary file and raises ``BadOutput``.
+    """
+    tmp = path + ".tmp"
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise BadOutput(f"cannot write {path}: {exc}") from None
+    return path
 
 
 def csv_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tuple[int, list[str]]]]:

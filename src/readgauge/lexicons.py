@@ -48,12 +48,16 @@ def load_norms(path: str) -> dict[str, NormTable]:
     """Load a norms CSV (header ``word,<rating-columns...>``).
 
     Returns one NormTable per rating column. Duplicate words win last with a
-    logged warning; a non-numeric rating rejects the file naming the row.
+    logged warning; a non-numeric rating rejects the file naming the row, and
+    a column named twice rejects it naming the column.
     """
     header, rows = csv_rows(path)
     if not header or header[0].strip().lower() != "word":
         raise MalformedRow(f"{path}: first header column must be 'word'")
     columns = [c.strip() for c in header[1:]]
+    for i, col in enumerate(columns):
+        if col in columns[:i]:
+            raise MalformedRow(f"{path}: header names column {col!r} twice")
     tables: dict[str, dict[str, float]] = {c: {} for c in columns}
     for rownum, row in rows:
         word = row[0].strip().lower()

@@ -14,14 +14,13 @@ are bitwise equal to fitting each C alone.
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import DegenerateLabels, FeatureMismatch, NameCollision
-from .inputs import read_text
+from .inputs import read_text, write_atomic
 
 MODEL_FORMAT_VERSION = 1
 
@@ -295,10 +294,7 @@ def save_model(model: LinearModel, path: str) -> None:
         "weights": model.weights.tolist(),
         "bias": model.bias.tolist(),
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh)
-    os.replace(tmp, path)
+    write_atomic(path, lambda fh: json.dump(payload, fh))
 
 
 def load_model(path: str, expected_features: Optional[Sequence[str]] = None) -> LinearModel:

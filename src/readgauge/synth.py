@@ -13,8 +13,37 @@ import os
 import random
 from dataclasses import dataclass
 
-from . import data_files
-from .errors import BadSize
+from .errors import BadOutput, BadSize
+from .inputs import write_atomic
+
+# The bundled grammar, tag lexicon, norms and sense counts cover exactly
+# these words; tests/test_data_files.py checks that they agree.
+EASY_NOUNS = [
+    "cat", "dog", "sun", "hat", "ball", "cup", "bed", "fish", "bird",
+    "tree", "boy", "girl", "car", "box", "man", "lake", "road", "door",
+]
+HARD_NOUNS = [
+    "phenomenon", "bureaucracy", "hypothesis", "infrastructure", "paradigm",
+    "legislation", "municipality", "configuration", "repercussion",
+    "jurisdiction", "interpretation", "apparatus",
+]
+EASY_ADJECTIVES = ["big", "red", "old", "sad", "wet", "new", "tall"]
+HARD_ADJECTIVES = [
+    "magnificent", "extraordinary", "complicated", "unprecedented",
+    "sophisticated", "considerable", "ambiguous",
+]
+EASY_VERBS = ["runs", "sees", "eats", "hits", "likes", "finds", "takes"]
+HARD_VERBS = [
+    "investigates", "demonstrates", "contemplates", "articulates",
+    "accumulates", "scrutinizes",
+]
+DETERMINERS = ["the", "a"]
+PREPOSITIONS = ["in", "on", "near", "with"]
+CONJUNCTIONS = ["and", "but"]
+
+NOUNS = EASY_NOUNS + HARD_NOUNS
+ADJECTIVES = EASY_ADJECTIVES + HARD_ADJECTIVES
+VERBS = EASY_VERBS + HARD_VERBS
 
 CLASS_AGE_RANGES = {
     "level_0": (7.0, 8.0),
@@ -45,19 +74,19 @@ def _pick(rng: random.Random, easy: list[str], hard: list[str], hard_rate: float
 
 
 def _noun_phrase(rng: random.Random, p: ClassProfile, allow_pp: bool = True) -> list[str]:
-    words = [rng.choice(data_files.DETERMINERS)]
+    words = [rng.choice(DETERMINERS)]
     if rng.random() < p.adjective_rate:
-        words.append(_pick(rng, data_files.EASY_ADJECTIVES, data_files.HARD_ADJECTIVES, p.hard_rate))
-    words.append(_pick(rng, data_files.EASY_NOUNS, data_files.HARD_NOUNS, p.hard_rate))
+        words.append(_pick(rng, EASY_ADJECTIVES, HARD_ADJECTIVES, p.hard_rate))
+    words.append(_pick(rng, EASY_NOUNS, HARD_NOUNS, p.hard_rate))
     if allow_pp and rng.random() < p.pp_rate:
-        words.append(rng.choice(data_files.PREPOSITIONS))
+        words.append(rng.choice(PREPOSITIONS))
         words.extend(_noun_phrase(rng, p, allow_pp=False))
     return words
 
 
 def _clause(rng: random.Random, p: ClassProfile) -> list[str]:
     words = _noun_phrase(rng, p)
-    words.append(_pick(rng, data_files.EASY_VERBS, data_files.HARD_VERBS, p.hard_rate))
+    words.append(_pick(rng, EASY_VERBS, HARD_VERBS, p.hard_rate))
     words.extend(_noun_phrase(rng, p))
     return words
 
@@ -65,7 +94,7 @@ def _clause(rng: random.Random, p: ClassProfile) -> list[str]:
 def _sentence(rng: random.Random, p: ClassProfile) -> str:
     words = _clause(rng, p)
     if rng.random() < p.coord_rate:
-        words.append(rng.choice(data_files.CONJUNCTIONS))
+        words.append(rng.choice(CONJUNCTIONS))
         words.extend(_clause(rng, p))
     words[0] = words[0].capitalize()
     return " ".join(words) + "."
@@ -80,33 +109,31 @@ def generate_document_text(rng: random.Random, class_name: str) -> str:
 def generate_corpus(
     out_dir: str, n_docs: int = 600, n_classes: int = 3, seed: int = 7
 ) -> str:
-    """Write a labeled corpus (docs/ + manifest.csv); returns the manifest path."""
+    """Write a labeled corpus (docs/, difficulty_order.txt, then manifest.csv);
+    returns the manifest path. A path that cannot be written raises ``BadOutput``."""
     if n_classes not in (2, 3):
         raise BadSize(f"{n_classes} classes: the generator makes 2 or 3")
     if n_docs < 1:
         raise BadSize(f"{n_docs} documents: the generator makes at least 1")
     class_names = [f"level_{i}" for i in range(n_classes)]
     rng = random.Random(seed)
-    docs_dir = os.path.join(out_dir, "docs")
-    os.makedirs(docs_dir, exist_ok=True)
-    manifest_path = os.path.join(out_dir, "manifest.csv")
     rows = []
-    for i in range(n_docs):
-        class_name = class_names[i % n_classes]
-        doc_id = f"doc{i:04d}"
-        text = generate_document_text(rng, class_name)
-        path = os.path.join("docs", f"{doc_id}.txt")
-        with open(os.path.join(out_dir, path), "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-        lo, hi = CLASS_AGE_RANGES[class_name]
-        rows.append([doc_id, path, class_name, f"{lo}", f"{hi}"])
-    tmp = manifest_path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["doc_id", "path", "class_name", "age_low", "age_high"])
-        writer.writerows(rows)
-    os.replace(tmp, manifest_path)
-    with open(os.path.join(out_dir, "difficulty_order.txt"), "w", encoding="utf-8") as fh:
-        for name in class_names:
-            fh.write(name + "\n")
-    return manifest_path
+    try:
+        os.makedirs(os.path.join(out_dir, "docs"), exist_ok=True)
+        for i in range(n_docs):
+            class_name = class_names[i % n_classes]
+            doc_id = f"doc{i:04d}"
+            text = generate_document_text(rng, class_name)
+            path = os.path.join("docs", f"{doc_id}.txt")
+            with open(os.path.join(out_dir, path), "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            lo, hi = CLASS_AGE_RANGES[class_name]
+            rows.append([doc_id, path, class_name, f"{lo}", f"{hi}"])
+        with open(os.path.join(out_dir, "difficulty_order.txt"), "w", encoding="utf-8") as fh:
+            for name in class_names:
+                fh.write(name + "\n")
+    except OSError as exc:
+        raise BadOutput(f"cannot write into {out_dir}: {exc}") from None
+    header = ["doc_id", "path", "class_name", "age_low", "age_high"]
+    manifest_path = os.path.join(out_dir, "manifest.csv")
+    return write_atomic(manifest_path, lambda fh: csv.writer(fh).writerows([header, *rows]))

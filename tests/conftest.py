@@ -5,8 +5,8 @@ import pytest
 
 sys.path.insert(0, os.path.dirname(__file__))
 
+import readgauge
 from readgauge.cky import Parser
-from readgauge.data_files import write_default_resources
 from readgauge.grammar import load_grammar
 from readgauge.lexicons import load_norms, load_senses
 from readgauge.pos_features import load_tag_lexicon
@@ -14,10 +14,9 @@ from readgauge.registry import Resources
 
 
 @pytest.fixture(scope="session")
-def data_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("resources")
-    write_default_resources(str(out))
-    return str(out)
+def data_dir():
+    """The bundled resource directory; no test writes into it."""
+    return os.path.join(os.path.dirname(readgauge.__file__), "data")
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 import csv
 import os
+import shutil
 
 import pytest
 
@@ -446,3 +447,89 @@ class TestInputBoundary:
         ])
         assert code == 1
         assert_one_error_line(capsys, "BadSize")
+
+
+OUTPUT_COMMANDS = {
+    "synth": "synth --docs 3",
+    "extract": "extract --manifest {manifest} --features flesch",
+    "train": "train --manifest {manifest} --features flesch --model logistic",
+    "eval": "eval --manifest {manifest} --features flesch --model logistic --folds 3",
+    "ablate": "ablate --manifest {manifest} --features flesch --baseline-features word_types"
+              " --model logistic --sizes 10",
+    "report": "report --reports {reports}",
+}
+
+
+def output_command(command, corpus_dir, reports, out):
+    words = OUTPUT_COMMANDS[command].split()
+    return [w.format(manifest=manifest_of(corpus_dir), reports=reports) for w in words] + [
+        "--out", str(out)
+    ]
+
+
+class TestOutputErrors:
+    @pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+    def test_out_is_a_file(self, small_corpus, tmp_path, capsys, command):
+        reports = tmp_path / "reports"
+        reports.mkdir()
+        write_summary(reports / "a.csv", 0.5)
+        out = tmp_path / "out"
+        out.write_text("keep\n", encoding="utf-8")
+        assert main(output_command(command, small_corpus, str(reports), out)) == 1
+        assert str(out) in assert_one_error_line(capsys, "BadOutput")
+        assert out.read_text(encoding="utf-8") == "keep\n"
+
+    def test_features_csv_is_a_directory(self, small_corpus, tmp_path, capsys):
+        out = tmp_path / "x"
+        (out / "features.csv").mkdir(parents=True)
+        assert main(output_command("extract", small_corpus, None, out)) == 1
+        assert "features.csv" in assert_one_error_line(capsys, "BadOutput")
+        assert os.listdir(out) == ["features.csv"]
+
+
+def bundled_copy(data_dir, tmp_path):
+    copy = tmp_path / "data"
+    shutil.copytree(data_dir, copy)
+    return copy
+
+
+class TestResources:
+    def test_norms_column_named_twice(self, small_corpus, data_dir, tmp_path, capsys):
+        rows = read_csv(os.path.join(data_dir, "norms.csv"))
+        norms = tmp_path / "norms.csv"
+        with open(norms, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(
+                [rows[0] + ["aoa_kuperman"]] + [row + ["99"] for row in rows[1:]]
+            )
+        code = main([
+            "extract", "--manifest", manifest_of(small_corpus), "--features", "psycholinguistic",
+            "--norms", str(norms), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "MalformedRow")
+        assert "norms.csv" in line and "aoa_kuperman" in line
+
+    def test_data_env_overrides_tag_lexicon(self, small_corpus, data_dir, tmp_path, monkeypatch):
+        copy = bundled_copy(data_dir, tmp_path)
+        rows = read_csv(str(copy / "tag_lexicon.csv"))
+        with open(copy / "tag_lexicon.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([[w, "NNP" if t == "NN" else t] for w, t in rows])
+        args = ["extract", "--manifest", manifest_of(small_corpus), "--features", "pos"]
+        assert main([*args, "--out", str(tmp_path / "bundled")]) == 0
+        monkeypatch.setenv("READGAUGE_DATA", str(copy))
+        assert main([*args, "--out", str(tmp_path / "override")]) == 0
+        bundled = read_csv(str(tmp_path / "bundled" / "features.csv"))
+        override = read_csv(str(tmp_path / "override" / "features.csv"))
+        assert bundled[0] == override[0]
+        assert bundled[1:] != override[1:]
+
+    def test_data_env_without_grammar(self, small_corpus, data_dir, tmp_path, monkeypatch, capsys):
+        copy = bundled_copy(data_dir, tmp_path)
+        os.remove(copy / "demo_grammar.txt")
+        monkeypatch.setenv("READGAUGE_DATA", str(copy))
+        code = main([
+            "extract", "--manifest", manifest_of(small_corpus), "--features", "syntactic",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert_one_error_line(capsys, "MissingResource")

@@ -1,14 +1,51 @@
+"""The bundled resource files cover exactly the words synth draws from."""
+
 import os
 
-import readgauge
-from readgauge.data_files import write_default_resources
+from readgauge import synth
+from readgauge.data_files import (
+    GRAMMAR_FILE,
+    NORMS_FILE,
+    SENSES_FILE,
+    TAG_LEXICON_FILE,
+    default_data_dir,
+)
+from readgauge.grammar import load_grammar
+from readgauge.lexicons import PSYCHOLINGUISTIC_FEATURE_NAMES, load_norms, load_senses
+from readgauge.pos_features import load_tag_lexicon
 
-BUNDLED = os.path.join(os.path.dirname(readgauge.__file__), "data")
+POOLS = {
+    "DT": synth.DETERMINERS,
+    "NN": synth.NOUNS,
+    "JJ": synth.ADJECTIVES,
+    "VBZ": synth.VERBS,
+    "IN": synth.PREPOSITIONS,
+    "CC": synth.CONJUNCTIONS,
+}
+POOL_WORDS = {w for words in POOLS.values() for w in words}
 
 
-def test_generated_resources_equal_bundled_files(tmp_path):
-    paths = write_default_resources(str(tmp_path))
-    assert sorted(os.path.basename(p) for p in paths.values()) == sorted(os.listdir(BUNDLED))
-    for path in paths.values():
-        with open(path, "rb") as generated, open(os.path.join(BUNDLED, os.path.basename(path)), "rb") as bundled:
-            assert generated.read() == bundled.read(), path
+def bundled(name):
+    return os.path.join(default_data_dir(), name)
+
+
+def test_grammar_terminals_are_the_pool_words():
+    assert load_grammar(bundled(GRAMMAR_FILE)).terminals == POOL_WORDS
+
+
+def test_tag_lexicon_tags_each_pool_word_with_its_pool():
+    expected = {w: tag for tag, words in POOLS.items() for w in words}
+    assert len(expected) == len(POOL_WORDS)
+    assert load_tag_lexicon(bundled(TAG_LEXICON_FILE)) == expected
+
+
+def test_every_norms_column_covers_the_pool_words():
+    tables = load_norms(bundled(NORMS_FILE))
+    assert list(tables) == PSYCHOLINGUISTIC_FEATURE_NAMES
+    for table in tables.values():
+        assert set(table.entries) == POOL_WORDS, table.name
+
+
+def test_senses_cover_the_content_words():
+    entries = load_senses(bundled(SENSES_FILE)).entries
+    assert set(entries) == set(synth.NOUNS + synth.ADJECTIVES + synth.VERBS)

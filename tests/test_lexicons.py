@@ -33,6 +33,12 @@ class TestLoadNorms:
             load_norms(p)
         assert "row 3" in str(err.value)
 
+    def test_duplicate_column_rejected(self, tmp_path):
+        p = write(tmp_path / "n.csv", "word,aoa,img,aoa\ndog,3,5,99\n")
+        with pytest.raises(MalformedRow) as err:
+            load_norms(p)
+        assert "n.csv" in str(err.value) and "'aoa'" in str(err.value)
+
     def test_duplicate_last_wins(self, tmp_path, caplog):
         p = write(tmp_path / "n.csv", "word,aoa\ndog,3\ndog,9\n")
         with caplog.at_level("WARNING"):
