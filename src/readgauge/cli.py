@@ -17,6 +17,7 @@ from typing import Optional
 from . import data_files, registry, synth
 from .cky import Parser
 from .errors import (
+    BadOutput,
     BadSize,
     DuplicateId,
     MalformedRow,
@@ -319,6 +320,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_arg_parser()
     args = parser.parse_args(argv)
     try:
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise BadOutput(f"cannot write {args.out}: not a directory")
         return args.func(args)
     except ReadgaugeError as exc:
         print(f"error: {exc}", file=sys.stderr)

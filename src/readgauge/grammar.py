@@ -117,6 +117,7 @@ def load_grammar(path: str) -> Grammar:
     rules: list[Rule] = []
     start: Optional[str] = None
     terminal_names: set[str] = set()
+    first_line: dict[tuple[str, tuple[str, ...]], int] = {}
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.split("//", 1)[0].strip()
         if not line:
@@ -147,6 +148,10 @@ def load_grammar(path: str) -> Grammar:
             raise MalformedRule(f"{path}:{lineno}: bad probability {prob_str!r}")
         if not (0.0 < prob <= 1.0):
             raise MalformedRule(f"{path}:{lineno}: probability {prob} out of (0,1]")
+        key = (lhs, tuple(rhs))
+        if key in first_line:
+            raise MalformedRule(f"{path}:{lineno}: rule repeats line {first_line[key]}: {line!r}")
+        first_line[key] = lineno
         rules.append(Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob)))
     return _grammar(rules, start, terminal_names, where=f"{path}: ")
 

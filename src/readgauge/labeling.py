@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .errors import UnknownClass
+from .errors import MalformedRow, UnknownClass
 from .inputs import read_text
 from .textcore import RawLabel
 
@@ -35,5 +35,12 @@ def as_classes(
 
 
 def load_difficulty_order(path: str) -> list[str]:
-    """One class name per line, easiest first."""
-    return [line.strip() for line in read_text(path).split("\n") if line.strip()]
+    """One class name per line, easiest first; a name may appear only once."""
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        name = line.strip()
+        if name in first_line:
+            raise MalformedRow(f"{path}: line {lineno}: class {name!r} repeats line {first_line[name]}")
+        if name:
+            first_line[name] = lineno
+    return list(first_line)

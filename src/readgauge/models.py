@@ -20,6 +20,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import DegenerateLabels, FeatureMismatch, NameCollision
+from .evaluation import f1_scores, kfold
 from .inputs import read_text, write_atomic
 
 MODEL_FORMAT_VERSION = 1
@@ -238,10 +239,9 @@ def grid_search_c(
 ) -> float:
     """C maximizing mean k-fold weighted F1; ties go to the smallest C.
 
-    Each inner fold fits the whole grid in one ``_svm_fit_stack`` call.
+    Each inner fold fits the whole grid in one ``_svm_fit_stack`` call and
+    scores it with one stacked product.
     """
-    from .evaluation import f1_scores, kfold
-
     if not grid:
         raise ValueError("empty grid")
     X = np.asarray(X, dtype=float)
@@ -258,18 +258,11 @@ def grid_search_c(
         _, fold_classes = _check_labels(y_train)
         Xs, scaler = standardize(X[~test])
         W, b = _svm_fit_stack(Xs, y_train, fold_classes, Cs)
-        for g in range(len(Cs)):
-            preds = predict(_linear_model(W[g], b[g], scaler, None), X[test])
-            _, weighted, _ = f1_scores(list(y[test]), list(preds), n_classes)
-            scores[g].append(weighted)
-    best_c = None
-    best_score = -1.0
-    for c, c_scores in zip(Cs, scores):
-        mean_score = sum(c_scores) / len(c_scores)
-        if mean_score > best_score:
-            best_score = mean_score
-            best_c = c
-    return float(best_c)
+        preds = (scaler.transform(X[test]) @ W.transpose(0, 2, 1) + b[:, None, :]).argmax(axis=2)
+        for g, p in enumerate(preds):
+            scores[g].append(f1_scores(list(y[test]), list(p), n_classes)[1])
+    means = [sum(s) / len(s) for s in scores]
+    return float(Cs[means.index(max(means))])
 
 
 def fuse(

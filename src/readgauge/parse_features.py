@@ -87,24 +87,6 @@ class TreeCounts:
     pp_children: int = 0
 
 
-def _internal_nodes(tree: ParseTree):
-    stack = [tree]
-    while stack:
-        node = stack.pop()
-        yield node
-        for c in node.children:
-            if isinstance(c, ParseTree):
-                stack.append(c)
-
-
-def _height(node) -> int:
-    if isinstance(node, str):
-        return 0
-    if not node.children:
-        return 0
-    return 1 + max(_height(c) for c in node.children)
-
-
 def _is_clause(node) -> bool:
     return isinstance(node, ParseTree) and node.label in CLAUSE_LABELS
 
@@ -141,11 +123,7 @@ def _t_unit_roots(tree: ParseTree) -> list[ParseTree]:
 def _is_complex_nominal(node: ParseTree) -> bool:
     if node.label != "NP":
         return False
-    phrase_children = sum(1 for c in node.children if isinstance(c, ParseTree))
-    leaf_children = sum(1 for c in node.children if isinstance(c, str))
-    if phrase_children + leaf_children > 1:
-        return True
-    return any(
+    return len(node.children) > 1 or any(
         isinstance(c, ParseTree) and c.label in {"SBAR", "PP", "VP"}
         for c in node.children
     )
@@ -154,43 +132,37 @@ def _is_complex_nominal(node: ParseTree) -> bool:
 def constituent_counts(tree: ParseTree) -> TreeCounts:
     """Label counts plus derived clause/t-unit/nominal counters for one tree."""
     counts = TreeCounts(labels={})
-    nodes = list(_internal_nodes(tree))
-    parents: dict[int, ParseTree] = {}
-    for node in nodes:
-        for c in node.children:
-            if isinstance(c, ParseTree):
-                parents[id(c)] = node
 
-    for node in nodes:
-        counts.labels[node.label] = counts.labels.get(node.label, 0) + 1
-        if node.label in CLAUSE_LABELS:
+    def walk(node: ParseTree, under_sbar: bool, coordinated: bool) -> int:
+        """Count ``node``'s subtree and return its height. ``under_sbar``: an SBAR
+        is above ``node``; ``coordinated``: a sibling of ``node`` is a CC."""
+        label = node.label
+        children = node.children
+        counts.labels[label] = counts.labels.get(label, 0) + 1
+        if label in CLAUSE_LABELS:
             counts.clauses += 1
-            # Dependent: dominated by an SBAR somewhere above.
-            anc = parents.get(id(node))
-            while anc is not None:
-                if anc.label == "SBAR":
-                    counts.dependent_clauses += 1
-                    break
-                anc = parents.get(id(anc))
-            parent = parents.get(id(node))
-            if parent is not None and any(
-                isinstance(c, ParseTree) and c.label == "CC" for c in parent.children
-            ):
-                counts.coordinate_clauses += 1
-        if _is_complex_nominal(node):
-            counts.complex_nominals += 1
-        if node.label == "NP":
-            counts.np_children += len(node.children)
-        elif node.label == "VP":
-            counts.vp_children += len(node.children)
-        elif node.label == "PP":
-            counts.pp_children += len(node.children)
+            counts.dependent_clauses += under_sbar
+            counts.coordinate_clauses += coordinated
+        elif label == "NP":
+            counts.np_children += len(children)
+            counts.complex_nominals += _is_complex_nominal(node)
+        elif label == "VP":
+            counts.vp_children += len(children)
+        elif label == "PP":
+            counts.pp_children += len(children)
+        phrases = [c for c in children if isinstance(c, ParseTree)]
+        has_cc = any(c.label == "CC" for c in phrases)
+        under_sbar = under_sbar or label == "SBAR"
+        height = 0
+        for c in phrases:
+            height = max(height, walk(c, under_sbar, has_cc))
+        return height + 1 if children else 0
 
+    counts.height = walk(tree, False, False)
+    counts.subtrees = sum(counts.labels.values()) - 1  # proper subtrees, root excluded
     units = _t_unit_roots(tree)
     counts.t_units = len(units)
     counts.complex_t_units = sum(1 for u in units if _has_dependent_clause(u))
-    counts.subtrees = max(len(nodes) - 1, 0)  # proper subtrees, root excluded
-    counts.height = _height(tree)
     return counts
 
 

@@ -4,7 +4,9 @@ These deliberately avoid the library's own algorithms: derivations are
 enumerated recursively over the original (non-binarized) grammar, and the
 feature formulas are recomputed from scratch. The SVM references are the
 plain sequential loops: one fit per C and inner fold, and one public
-``hinge_loss_grad`` call per epoch.
+``hinge_loss_grad`` call per epoch. The constituent counter is the earlier
+multi-pass one: a node list, a parent map keyed by ``id()``, an ancestor
+climb per clause and a separate height recursion.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from readgauge.models import (
     predict,
     standardize,
 )
+from readgauge.parse_features import CLAUSE_LABELS, ROOT_WRAPPERS, TreeCounts
 
 
 def enumerate_derivations(grammar: Grammar, tokens: tuple[str, ...], cap: int = 100000):
@@ -339,3 +342,106 @@ def oracle_grid_search_c(X, y, grid, folds=5, seed=0):
         if mean_score > best_score:
             best_score, best_c = mean_score, c
     return float(best_c)
+
+
+def _oracle_internal_nodes(tree: ParseTree):
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        yield node
+        for c in node.children:
+            if isinstance(c, ParseTree):
+                stack.append(c)
+
+
+def _oracle_height(node) -> int:
+    if isinstance(node, str):
+        return 0
+    if not node.children:
+        return 0
+    return 1 + max(_oracle_height(c) for c in node.children)
+
+
+def _oracle_has_dependent_clause(node: ParseTree, under_sbar: bool = False) -> bool:
+    for c in node.children:
+        if not isinstance(c, ParseTree):
+            continue
+        if under_sbar and c.label in CLAUSE_LABELS:
+            return True
+        if _oracle_has_dependent_clause(c, under_sbar or c.label == "SBAR"):
+            return True
+    return False
+
+
+def _oracle_t_unit_roots(tree: ParseTree) -> list[ParseTree]:
+    if tree.label in ROOT_WRAPPERS:
+        units: list[ParseTree] = []
+        for c in tree.children:
+            if isinstance(c, ParseTree):
+                units.extend(_oracle_t_unit_roots(c))
+        return units
+    if tree.label not in CLAUSE_LABELS:
+        return []
+    clause_children = [
+        c for c in tree.children if isinstance(c, ParseTree) and c.label in CLAUSE_LABELS
+    ]
+    has_cc = any(isinstance(c, ParseTree) and c.label == "CC" for c in tree.children)
+    if has_cc and len(clause_children) >= 2:
+        return clause_children
+    return [tree]
+
+
+def _oracle_is_complex_nominal(node: ParseTree) -> bool:
+    if node.label != "NP":
+        return False
+    phrase_children = sum(1 for c in node.children if isinstance(c, ParseTree))
+    leaf_children = sum(1 for c in node.children if isinstance(c, str))
+    if phrase_children + leaf_children > 1:
+        return True
+    return any(
+        isinstance(c, ParseTree) and c.label in {"SBAR", "PP", "VP"}
+        for c in node.children
+    )
+
+
+def oracle_constituent_counts(tree: ParseTree) -> TreeCounts:
+    """``TreeCounts`` from the node list, an ``id()`` parent map and ancestor climbs."""
+    counts = TreeCounts(labels={})
+    nodes = list(_oracle_internal_nodes(tree))
+    parents: dict[int, ParseTree] = {}
+    for node in nodes:
+        for c in node.children:
+            if isinstance(c, ParseTree):
+                parents[id(c)] = node
+
+    for node in nodes:
+        counts.labels[node.label] = counts.labels.get(node.label, 0) + 1
+        if node.label in CLAUSE_LABELS:
+            counts.clauses += 1
+            # Dependent: dominated by an SBAR somewhere above.
+            anc = parents.get(id(node))
+            while anc is not None:
+                if anc.label == "SBAR":
+                    counts.dependent_clauses += 1
+                    break
+                anc = parents.get(id(anc))
+            parent = parents.get(id(node))
+            if parent is not None and any(
+                isinstance(c, ParseTree) and c.label == "CC" for c in parent.children
+            ):
+                counts.coordinate_clauses += 1
+        if _oracle_is_complex_nominal(node):
+            counts.complex_nominals += 1
+        if node.label == "NP":
+            counts.np_children += len(node.children)
+        elif node.label == "VP":
+            counts.vp_children += len(node.children)
+        elif node.label == "PP":
+            counts.pp_children += len(node.children)
+
+    units = _oracle_t_unit_roots(tree)
+    counts.t_units = len(units)
+    counts.complex_t_units = sum(1 for u in units if _oracle_has_dependent_clause(u))
+    counts.subtrees = max(len(nodes) - 1, 0)  # proper subtrees, root excluded
+    counts.height = _oracle_height(tree)
+    return counts

@@ -315,6 +315,19 @@ class TestInputErrors:
         assert code == 1
         assert_one_error_line(capsys, "MissingFile")
 
+    def test_difficulty_order_names_a_class_twice(self, small_corpus, tmp_path, capsys):
+        order = tmp_path / "order.txt"
+        order.write_text("level_0\nlevel_1\nlevel_2\nlevel_0\n", encoding="utf-8")
+        code = main([
+            "eval", "--manifest", manifest_of(small_corpus), "--features", "flesch",
+            "--model", "logistic", "--folds", "3",
+            "--difficulty-order", str(order), "--out", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "MalformedRow")
+        assert "order.txt" in line and "line 4" in line and "level_0" in line
+        assert not (tmp_path / "e").exists()
+
     def test_score_names_differ_between_docs(self, small_corpus, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         rows = [
@@ -476,6 +489,21 @@ class TestOutputErrors:
         out = tmp_path / "out"
         out.write_text("keep\n", encoding="utf-8")
         assert main(output_command(command, small_corpus, str(reports), out)) == 1
+        assert str(out) in assert_one_error_line(capsys, "BadOutput")
+        assert out.read_text(encoding="utf-8") == "keep\n"
+
+    def test_out_is_checked_before_the_inputs(self, tmp_path, capsys):
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "doc_id,path,class_name,age_low,age_high\nd1,nope.txt,x,,\n", encoding="utf-8"
+        )
+        out = tmp_path / "out"
+        out.write_text("keep\n", encoding="utf-8")
+        code = main([
+            "eval", "--manifest", str(manifest), "--features", "flesch", "--model", "logistic",
+            "--out", str(out),
+        ])
+        assert code == 1
         assert str(out) in assert_one_error_line(capsys, "BadOutput")
         assert out.read_text(encoding="utf-8") == "keep\n"
 

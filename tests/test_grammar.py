@@ -86,6 +86,16 @@ class TestLoadGrammar:
             load_grammar(write_grammar(tmp_path, text))
         assert "VB" in str(err.value)
 
+    def test_repeated_rule_rejected(self, tmp_path):
+        # Two copies would give the parser two derivations of one tree.
+        text = "S -> NP VP # 1.0\nNP -> 'dogs' # 1.0\nVP -> 'bark' # 0.5\n// again\nVP -> 'bark' # 0.5\n"
+        path = write_grammar(tmp_path, text)
+        with pytest.raises(MalformedRule) as err:
+            load_grammar(path)
+        assert f"{path}:5:" in str(err.value) and "line 3" in str(err.value)
+        # make_grammar keeps copies: the enumeration oracle counts each as a derivation.
+        assert len(make_grammar([rule("S", ["a"], 0.5), rule("S", ["a"], 0.5)]).rules) == 2
+
 
 def rule(lhs, rhs, prob):
     return Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob))

@@ -1,6 +1,6 @@
 import pytest
 
-from readgauge.errors import UnknownClass
+from readgauge.errors import MalformedRow, UnknownClass
 from readgauge.labeling import as_classes, load_difficulty_order
 from readgauge.textcore import RawLabel
 
@@ -33,3 +33,11 @@ class TestDifficultyOrder:
         p = tmp_path / "order.txt"
         p.write_text("easy\n\nmedium\nhard\n", encoding="utf-8")
         assert load_difficulty_order(str(p)) == ["easy", "medium", "hard"]
+
+    def test_class_named_twice(self, tmp_path):
+        p = tmp_path / "order.txt"
+        p.write_text("easy\nhard\n\neasy\n", encoding="utf-8")
+        with pytest.raises(MalformedRow) as err:
+            load_difficulty_order(str(p))
+        message = str(err.value)
+        assert str(p) in message and "line 4" in message and "'easy'" in message

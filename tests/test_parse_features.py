@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given
@@ -7,6 +8,8 @@ from hypothesis import strategies as st
 from readgauge.cky import KBestList, ParseTree
 from readgauge.errors import EmptyKBest
 from readgauge.parse_features import (
+    CLAUSE_LABELS,
+    ROOT_WRAPPERS,
     SYNTACTIC_FEATURE_NAMES,
     constituent_counts,
     parse_deviation,
@@ -14,6 +17,8 @@ from readgauge.parse_features import (
     syntactic_ratios,
 )
 from readgauge.textcore import make_document
+
+from oracles import oracle_constituent_counts
 
 
 def tree(label, *children, log_prob=0.0):
@@ -131,6 +136,65 @@ class TestConstituentCounts:
         t = tree("NP", tree("PP", tree("IN", "of"), tree("NP", tree("NN", "dogs"))))
         # single child, but that child is a PP
         assert constituent_counts(t).complex_nominals >= 1
+
+    @pytest.mark.parametrize("sbar_first", [True, False])
+    def test_shared_clause_counted_by_its_own_ancestors(self, sbar_first):
+        # One S object under an SBAR and under a VP: dependent only under the SBAR.
+        shared = tree("S", tree("NP", tree("NN", "dog")), tree("VP", tree("VBZ", "runs")))
+        parents = [tree("SBAR", shared), tree("VP", tree("VBZ", "says"), shared)]
+        t = tree("S", *(parents if sbar_first else parents[::-1]))
+        counts = constituent_counts(t)
+        assert counts.clauses == 4  # the root S, the SBAR and the shared S twice
+        assert counts.dependent_clauses == 1
+
+    def test_equals_multi_pass_oracle_on_random_trees(self):
+        rng = random.Random(20)
+        trees = [random_sentence(rng) for _ in range(5000)]
+        totals = {"dependent": 0, "coordinate": 0, "complex_t_units": 0, "wrapped": 0}
+        for t in trees:
+            counts = constituent_counts(t)
+            assert counts == oracle_constituent_counts(t), t
+            totals["dependent"] += counts.dependent_clauses
+            totals["coordinate"] += counts.coordinate_clauses
+            totals["complex_t_units"] += counts.complex_t_units
+            totals["wrapped"] += t.label in ROOT_WRAPPERS
+        assert min(totals.values()) > 0, totals
+
+
+# Random trees for the oracle comparison: clause, phrase, preterminal and
+# wh labels, with bare-leaf children, CC siblings and childless nodes.
+RANDOM_LABELS = sorted(CLAUSE_LABELS) + ["NP", "VP", "PP", "CC", "DT", "NN", "WHNP", "RRC", "CONJP"]
+
+
+def random_tree(rng, depth):
+    label = rng.choice(RANDOM_LABELS)
+    if depth == 0 or rng.random() < 0.2:
+        return tree(label, *("w" for _ in range(rng.randint(0, 2))))
+    children = []
+    for _ in range(rng.randint(1, 4)):
+        r = rng.random()
+        if r < 0.2:
+            children.append(rng.choice(["the", "dog", "and"]))
+        elif r < 0.35:
+            children.append(tree("CC", "and"))
+        else:
+            children.append(random_tree(rng, depth - 1))
+    return tree(label, *children)
+
+
+def random_sentence(rng):
+    """A random tree, a ROOT/TOP wrapper or a clause-rooted coordination."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return tree(
+            rng.choice(sorted(ROOT_WRAPPERS)),
+            *(random_sentence(rng) for _ in range(rng.randint(1, 2))),
+        )
+    if kind == 1:
+        clauses = [tree(rng.choice(sorted(CLAUSE_LABELS)), *random_tree(rng, 3).children)
+                   for _ in range(rng.randint(2, 3))]
+        return tree(rng.choice(["SBAR", "S"]), clauses[0], tree("CC", "and"), *clauses[1:])
+    return random_tree(rng, 5)
 
 
 class TestSyntacticRatios:
