@@ -1,7 +1,7 @@
 """Readability feature extraction and linear-model evaluation toolkit."""
 
 from .cky import KBestList, Parser, ParseTree
-from .evaluation import EvalReport, FoldPlan, cross_validate, f1_scores, kfold, size_ablation
+from .evaluation import EvalReport, cross_validate, f1_scores, kfold, size_ablation
 from .grammar import Grammar, Rule, load_grammar
 from .lexical_features import mtld, surface_stats, traditional_scores, ttr_measures
 from .lexicons import NormTable, SenseTable, load_norms, load_senses, mean_rating, sense_features

@@ -71,24 +71,32 @@ def _float_field(row: dict, column: str, path: str, line: int) -> float:
     raise MalformedRow(f"{path}: line {line}: {column} {row[column]!r} is not a finite number")
 
 
+def _text_field(row: dict, column: str, path: str, line: int) -> str:
+    """``row[column]`` stripped, else ``MalformedRow`` naming the line when it is empty."""
+    value = row[column].strip()
+    if not value:
+        raise MalformedRow(f"{path}: line {line}: {column} is empty")
+    return value
+
+
 def ingest_corpus(manifest_path: str) -> list[Document]:
     """Load, segment and tokenize every document named by a manifest CSV."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     docs: list[Document] = []
     seen: set[str] = set()
     for line, row in _csv_records(manifest_path, ("doc_id", "path", "class_name")):
-        doc_id = row["doc_id"].strip()
+        doc_id = _text_field(row, "doc_id", manifest_path, line)
         if doc_id in seen:
             raise DuplicateId(doc_id)
         seen.add(doc_id)
-        path = row["path"].strip()
+        path = _text_field(row, "path", manifest_path, line)
         full = path if os.path.isabs(path) else os.path.join(base, path)
         if not os.path.isfile(full):
             raise MissingDoc(full)
         text = read_text(full)
         age_low = _float_field(row, "age_low", manifest_path, line) if row.get("age_low") else None
         age_high = _float_field(row, "age_high", manifest_path, line) if row.get("age_high") else None
-        label = RawLabel(row["class_name"].strip(), age_low, age_high)
+        label = RawLabel(_text_field(row, "class_name", manifest_path, line), age_low, age_high)
         docs.append(make_document(doc_id, text, label))
     return docs
 
@@ -98,7 +106,7 @@ def load_scores(path: str) -> dict[str, list[tuple[str, float]]]:
     scores: dict[str, list[tuple[str, float]]] = {}
     seen: set[tuple[str, str]] = set()
     for line, row in _csv_records(path, ("doc_id", "score_name", "value")):
-        key = (row["doc_id"].strip(), row["score_name"].strip())
+        key = (_text_field(row, "doc_id", path, line), _text_field(row, "score_name", path, line))
         if key in seen:
             raise DuplicateId(f"duplicate score row {key}")
         seen.add(key)

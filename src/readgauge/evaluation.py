@@ -12,14 +12,6 @@ from .errors import BadSize, LengthMismatch, SizeTooLarge, TooFewSamples
 from .textcore import Document
 
 
-@dataclass(frozen=True)
-class FoldPlan:
-    k: int
-    assignments: dict[str, int]
-    seed: int
-    stratified: bool
-
-
 @dataclass
 class EvalReport:
     fold_weighted: list[float]
@@ -50,38 +42,26 @@ class Pipeline(Protocol):
     def clone(self) -> "Pipeline": ...
 
 
-def kfold(
-    doc_ids: Sequence[str],
-    labels: Sequence[int],
-    k: int,
-    seed: int,
-    stratified: bool = True,
-) -> FoldPlan:
-    """Deterministic, balanced fold assignment (optionally per-class)."""
+def kfold(doc_ids: Sequence[str], labels: Sequence[int], k: int, seed: int) -> dict[str, int]:
+    """Deterministic, per-class balanced fold of each document id."""
     n = len(doc_ids)
     if len(labels) != n:
         raise LengthMismatch(f"{n} ids vs {len(labels)} labels")
     if k < 2 or k > n:
         raise TooFewSamples(f"k={k} with n={n}")
     rng = random.Random(seed)
+    by_class: dict[int, list[str]] = {}
+    for doc_id, label in zip(doc_ids, labels):
+        by_class.setdefault(label, []).append(doc_id)
     assignments: dict[str, int] = {}
-    if stratified:
-        by_class: dict[int, list[str]] = {}
-        for doc_id, label in zip(doc_ids, labels):
-            by_class.setdefault(label, []).append(doc_id)
-        cursor = 0
-        for label in sorted(by_class):
-            ids = sorted(by_class[label])
-            rng.shuffle(ids)
-            for doc_id in ids:
-                assignments[doc_id] = cursor % k
-                cursor += 1
-    else:
-        ids = sorted(doc_ids)
+    cursor = 0
+    for label in sorted(by_class):
+        ids = sorted(by_class[label])
         rng.shuffle(ids)
-        for i, doc_id in enumerate(ids):
-            assignments[doc_id] = i % k
-    return FoldPlan(k=k, assignments=assignments, seed=seed, stratified=stratified)
+        for doc_id in ids:
+            assignments[doc_id] = cursor % k
+            cursor += 1
+    return assignments
 
 
 def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int], n_classes: int) -> np.ndarray:
@@ -128,12 +108,12 @@ def cross_validate(
 ) -> EvalReport:
     """k-fold protocol: fit on the train folds only, score the held-out fold."""
     doc_ids = [d.doc_id for d in docs]
-    plan = kfold(doc_ids, labels, k=k, seed=seed)
+    fold_of = kfold(doc_ids, labels, k=k, seed=seed)
     fold_weighted: list[float] = []
     fold_macro: list[float] = []
     for fold in range(k):
-        train_idx = [i for i, d in enumerate(docs) if plan.assignments[d.doc_id] != fold]
-        test_idx = [i for i, d in enumerate(docs) if plan.assignments[d.doc_id] == fold]
+        train_idx = [i for i, d in enumerate(docs) if fold_of[d.doc_id] != fold]
+        test_idx = [i for i, d in enumerate(docs) if fold_of[d.doc_id] == fold]
         model = pipeline.clone()
         model.fit([docs[i] for i in train_idx], [labels[i] for i in train_idx])
         preds = model.predict([docs[i] for i in test_idx])
@@ -179,9 +159,9 @@ def size_ablation(
     one stratified shuffle of the remaining pool, so samples nest.
     """
     doc_ids = [d.doc_id for d in docs]
-    plan = kfold(doc_ids, labels, k=5, seed=seed, stratified=True)
-    test_idx = [i for i, d in enumerate(docs) if plan.assignments[d.doc_id] == 0]
-    pool_idx = [i for i, d in enumerate(docs) if plan.assignments[d.doc_id] != 0]
+    fold_of = kfold(doc_ids, labels, k=5, seed=seed)
+    test_idx = [i for i, d in enumerate(docs) if fold_of[d.doc_id] == 0]
+    pool_idx = [i for i, d in enumerate(docs) if fold_of[d.doc_id] != 0]
     if not sizes or min(sizes) < 1:
         raise BadSize(f"training sizes must be integers >= 1, got {list(sizes)}")
     if max(sizes) > len(pool_idx):

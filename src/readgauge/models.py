@@ -248,8 +248,8 @@ def grid_search_c(
     y = np.asarray(y, dtype=int)
     n_classes = int(y.max()) + 1
     ids = [str(i) for i in range(len(y))]
-    plan = kfold(ids, list(y), k=folds, seed=seed, stratified=True)
-    fold_of = np.array([plan.assignments[i] for i in ids])
+    assignments = kfold(ids, list(y), k=folds, seed=seed)
+    fold_of = np.array([assignments[i] for i in ids])
     Cs = sorted(grid)
     scores: list[list[float]] = [[] for _ in Cs]
     for fold in range(folds):

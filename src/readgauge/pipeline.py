@@ -11,13 +11,14 @@ vocabulary and its ``wt_<word>`` columns, the scaler and the model.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
 from . import models, registry
-from .errors import FeatureMismatch, MissingResource, MissingScore
+from .errors import DegenerateLabels, FeatureMismatch, MissingResource, MissingScore
 from .models import LinearModel
 from .textcore import Document, word_type_proportions
 
@@ -124,9 +125,11 @@ class FeaturePipeline:
             self.model = models.train_logistic(X, y, names)
         else:  # "linear" is the C=1 linear SVM without tuning
             c = 1.0
-            # Under 10 samples are too few to cross-validate the grid meaningfully.
+            # Under 10 samples are too few to cross-validate the grid meaningfully,
+            # and an inner fold that trains on one class cannot score it at all.
             if self.config.model == "svm" and len(y) >= 10:
-                c = models.grid_search_c(X, y, models.DEFAULT_C_GRID, seed=self.config.seed)
+                with contextlib.suppress(DegenerateLabels):
+                    c = models.grid_search_c(X, y, models.DEFAULT_C_GRID, seed=self.config.seed)
             self.model = models.train_linear_svm(X, y, c, names)
 
     def predict(self, docs: Sequence[Document]) -> list[int]:

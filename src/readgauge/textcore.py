@@ -18,10 +18,11 @@ ABBREVIATIONS = {
     "etc", "vs", "e.g", "i.e", "fig", "al", "inc", "ltd", "co",
 }
 
-VOWELS = set("aeiouy")
+_VOWEL_GROUP = re.compile(r"[aeiouy]+")
 
-# Characters that stay inside a word when surrounded by alphanumerics.
-_WORD_INTERNAL = set("'’-")
+# [^\W_] is str.isalnum() and \S is str.split()'s not-isspace(): a chunk's
+# first-to-last alphanumeric span is one token, every character outside it another.
+_TOKEN = re.compile(r"[^\W_](?:\S*[^\W_])?|\S")
 
 
 @dataclass(frozen=True)
@@ -97,13 +98,13 @@ def split_sentences(raw_text: str) -> list[str]:
     tail = text[start:].strip()
     if tail:
         pieces.append(tail)
-    return [p for p in pieces if p]
+    return pieces
 
 
 def count_syllables(word: str) -> int:
     """Vowel-group syllable heuristic with a silent final 'e' rule, min 1."""
     w = word.lower()
-    groups = len(re.findall(r"[aeiouy]+", w))
+    groups = len(_VOWEL_GROUP.findall(w))
     if w.endswith("e") and groups > 1:
         groups -= 1
     return max(groups, 1)
@@ -121,45 +122,23 @@ def _make_token(surface: str) -> Token:
 
 
 def tokenize(sentence: str) -> list[Token]:
-    """Whitespace tokenization with leading/trailing punctuation split off.
+    """Split each whitespace-separated chunk at its first and last alphanumeric.
 
-    Apostrophes and internal hyphens stay word-internal; every stripped
-    punctuation character becomes its own non-word token.
+    Everything between those two characters (apostrophes, hyphens, slashes,
+    periods, underscores) stays in one word token; every character before or
+    after them becomes its own non-word token.
     """
-    tokens: list[Token] = []
-    for chunk in sentence.split():
-        core_start = 0
-        core_end = len(chunk)
-        while core_start < core_end and not chunk[core_start].isalnum():
-            core_start += 1
-        while core_end > core_start and not (
-            chunk[core_end - 1].isalnum()
-        ):
-            core_end -= 1
-        leading = chunk[:core_start]
-        core = chunk[core_start:core_end]
-        trailing = chunk[core_end:]
-        for c in leading:
-            tokens.append(_make_token(c))
-        if core:
-            tokens.append(_make_token(core))
-        for c in trailing:
-            tokens.append(_make_token(c))
-    return tokens
+    return [_make_token(t) for t in _TOKEN.findall(sentence)]
 
 
 def make_document(doc_id: str, raw_text: str, label: Optional[RawLabel] = None) -> Document:
     """Segment and tokenize raw text into an immutable Document."""
     text = unicodedata.normalize("NFC", raw_text)
-    sentences = []
-    idx = 0
-    for sent in split_sentences(text):
-        toks = tokenize(sent)
-        if not toks:
-            continue
-        sentences.append(Sentence(tokens=tuple(toks), index_in_doc=idx))
-        idx += 1
-    return Document(doc_id=doc_id, raw_text=text, sentences=tuple(sentences), label=label)
+    sentences = tuple(
+        Sentence(tokens=tuple(tokenize(sent)), index_in_doc=i)
+        for i, sent in enumerate(split_sentences(text))
+    )
+    return Document(doc_id=doc_id, raw_text=text, sentences=sentences, label=label)
 
 
 def ratio(num: float, den: float) -> float:

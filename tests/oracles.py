@@ -6,7 +6,8 @@ feature formulas are recomputed from scratch. The SVM references are the
 plain sequential loops: one fit per C and inner fold, and one public
 ``hinge_loss_grad`` call per epoch. The constituent counter is the earlier
 multi-pass one: a node list, a parent map keyed by ``id()``, an ancestor
-climb per clause and a separate height recursion.
+climb per clause and a separate height recursion. The tokenizer is the
+earlier index loop over each whitespace-separated chunk.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from readgauge.models import (
     standardize,
 )
 from readgauge.parse_features import CLAUSE_LABELS, ROOT_WRAPPERS, TreeCounts
+from readgauge.textcore import Token, _make_token
 
 
 def enumerate_derivations(grammar: Grammar, tokens: tuple[str, ...], cap: int = 100000):
@@ -150,6 +152,29 @@ def tree_logprob_by_rules(tree: ParseTree, grammar: Grammar) -> float:
 
     walk(tree)
     return total
+
+
+# -- tokenizer oracle (the index loops; tokens built by the library) ----------
+
+
+def oracle_tokenize(sentence: str) -> list[Token]:
+    """Each chunk of ``str.split()`` cut at its first and last alphanumeric by
+    index loops: one token for the core, one per character outside it."""
+    tokens: list[Token] = []
+    for chunk in sentence.split():
+        core_start = 0
+        core_end = len(chunk)
+        while core_start < core_end and not chunk[core_start].isalnum():
+            core_start += 1
+        while core_end > core_start and not chunk[core_end - 1].isalnum():
+            core_end -= 1
+        for c in chunk[:core_start]:
+            tokens.append(_make_token(c))
+        if core_start < core_end:
+            tokens.append(_make_token(chunk[core_start:core_end]))
+        for c in chunk[core_end:]:
+            tokens.append(_make_token(c))
+    return tokens
 
 
 # -- formula oracles (recomputed from scratch, no library calls) ---------------
@@ -328,13 +353,13 @@ def oracle_grid_search_c(X, y, grid, folds=5, seed=0):
     y = np.asarray(y, dtype=int)
     n_classes = int(y.max()) + 1
     ids = [str(i) for i in range(len(y))]
-    plan = kfold(ids, list(y), k=folds, seed=seed, stratified=True)
+    fold_of = kfold(ids, list(y), k=folds, seed=seed)
     best_c, best_score = None, -1.0
     for c in sorted(grid):
         scores = []
         for fold in range(folds):
-            test_idx = [i for i in range(len(y)) if plan.assignments[ids[i]] == fold]
-            train_idx = [i for i in range(len(y)) if plan.assignments[ids[i]] != fold]
+            test_idx = [i for i in range(len(y)) if fold_of[ids[i]] == fold]
+            train_idx = [i for i in range(len(y)) if fold_of[ids[i]] != fold]
             model = oracle_train_svm(X[train_idx], y[train_idx], c)
             preds = predict(model, X[test_idx])
             scores.append(f1_scores(list(y[test_idx]), list(preds), n_classes)[1])

@@ -418,9 +418,9 @@ def test_acceptance_9_leakage_audit(synth_corpus, tmp_path):
     manifest = os.path.join(synth_corpus, "manifest.csv")
     docs = ingest_corpus(manifest)
     labels, _ = as_classes([d.label for d in docs])
-    plan = kfold([d.doc_id for d in docs], labels, k=5, seed=7, stratified=True)
+    fold_of = kfold([d.doc_id for d in docs], labels, k=5, seed=7)
     fold = 0
-    train = [(d, l) for d, l in zip(docs, labels) if plan.assignments[d.doc_id] != fold]
+    train = [(d, l) for d, l in zip(docs, labels) if fold_of[d.doc_id] != fold]
 
     def fit_and_hash(train_pairs):
         cfg = PipelineConfig(feature_sets=["word_types", "flesch"], model="logistic")
@@ -439,7 +439,7 @@ def test_acceptance_9_leakage_audit(synth_corpus, tmp_path):
     # physically remove the held-out fold's files, re-ingest, re-fit
     pruned_dir = tmp_path / "pruned"
     shutil.copytree(synth_corpus, pruned_dir)
-    test_ids = {d.doc_id for d in docs if plan.assignments[d.doc_id] == fold}
+    test_ids = {d.doc_id for d in docs if fold_of[d.doc_id] == fold}
     rows_kept = []
     with open(pruned_dir / "manifest.csv", newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)

@@ -219,6 +219,32 @@ class TestTrainEvalCommands:
         assert "error:" in capsys.readouterr().err
 
 
+class TestSvmInnerFoldWithOneClass:
+    """A few ``level_1`` documents among 15 ``level_0``: some inner C-grid
+    fold trains on ``level_0`` alone, so the SVM keeps C = 1 instead of failing."""
+
+    @pytest.mark.parametrize("command, n_level_1", [
+        (["eval", "--features", "flesch"], 2),
+        (["ablate", "--features", "word_types+flesch", "--baseline-features", "word_types",
+          "--sizes", "10,13"], 2),
+        (["train", "--features", "flesch"], 1),
+    ])
+    def test_svm_exits_0(self, small_corpus, tmp_path, capsys, command, n_level_1):
+        manifest = tmp_path / "manifest.csv"
+
+        def skewed(rows):
+            by_class = {}
+            for row in rows:
+                by_class.setdefault(row[2], []).append(row)
+            return by_class["level_0"][:15] + by_class["level_1"][:n_level_1]
+
+        write_manifest_rows(small_corpus, manifest, skewed)
+        code = main([
+            *command, "--manifest", str(manifest), "--model", "svm", "--out", str(tmp_path / "o"),
+        ])
+        assert code == 0, capsys.readouterr().err
+
+
 class TestReportCommand:
     def test_sorted_ascending_by_weighted_f1(self, tmp_path):
         reports = tmp_path / "reports"
@@ -266,6 +292,15 @@ def write_manifest_without(corpus_dir, column, out_path):
         csv.writer(fh).writerows([[r[i] for i in keep] for r in rows])
 
 
+def write_manifest_rows(corpus_dir, out_path, edit):
+    """Copy of the corpus manifest with absolute doc paths, its body rows passed through ``edit``."""
+    rows = read_csv(manifest_of(corpus_dir))
+    for row in rows[1:]:
+        row[1] = os.path.join(corpus_dir, row[1])
+    with open(out_path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows([rows[0], *edit(rows[1:])])
+
+
 def doc_ids_of(corpus_dir):
     return [r[0] for r in read_csv(manifest_of(corpus_dir))[1:]]
 
@@ -281,6 +316,42 @@ class TestInputErrors:
         ])
         assert code == 1
         assert column in assert_one_error_line(capsys, "MalformedRow")
+
+    @pytest.mark.parametrize("value", ["", " "])
+    @pytest.mark.parametrize("column", [0, 1, 2])
+    def test_manifest_field_empty(self, small_corpus, tmp_path, capsys, column, value):
+        manifest = tmp_path / "manifest.csv"
+
+        def blank_second_row(rows):
+            rows[1][column] = value
+            return rows
+
+        write_manifest_rows(small_corpus, manifest, blank_second_row)
+        code = main([
+            "extract", "--manifest", str(manifest), "--features", "flesch",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "MalformedRow")
+        name = ["doc_id", "path", "class_name"][column]
+        assert "manifest.csv" in line and "line 3" in line and name in line
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("row", ["d0,,1.5", ",oracle,1.5"])
+    def test_score_field_empty(self, small_corpus, tmp_path, capsys, row):
+        scores = tmp_path / "scores.csv"
+        rows = [f"{doc_id},oracle,{i}" for i, doc_id in enumerate(doc_ids_of(small_corpus))]
+        scores.write_text("doc_id,score_name,value\n" + "\n".join([*rows, row]) + "\n", encoding="utf-8")
+        code = main([
+            "train", "--manifest", manifest_of(small_corpus),
+            "--features", "flesch", "--model", "logistic",
+            "--scores", str(scores), "--out", str(tmp_path / "m"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "MalformedRow")
+        name = "score_name" if row.startswith("d0") else "doc_id"
+        assert f"line {len(rows) + 2}" in line and name in line
+        assert not (tmp_path / "m").exists()
 
     def test_non_numeric_age(self, tmp_path, capsys):
         (tmp_path / "a.txt").write_text("Hi.", encoding="utf-8")

@@ -22,8 +22,8 @@ class TestKfold:
         labels = [i % 2 for i in range(20)]
         plan = kfold(ids, labels, k=5, seed=7)
         again = kfold(ids, labels, k=5, seed=7)
-        assert plan.assignments == again.assignments
-        sizes = Counter(plan.assignments.values())
+        assert plan == again
+        sizes = Counter(plan.values())
         assert set(sizes) == set(range(5))
         assert max(sizes.values()) - min(sizes.values()) <= 1
 
@@ -33,13 +33,13 @@ class TestKfold:
         plan = kfold(ids, labels, k=5, seed=1)
         by_label = {i: labels[int(i[1:])] for i in ids}
         for fold in range(5):
-            fold_labels = Counter(by_label[i] for i, f in plan.assignments.items() if f == fold)
+            fold_labels = Counter(by_label[i] for i, f in plan.items() if f == fold)
             assert max(fold_labels.values()) - min(fold_labels.values()) <= 1
 
     def test_seed_changes_assignment(self):
         ids = [f"d{i}" for i in range(20)]
         labels = [i % 2 for i in range(20)]
-        assert kfold(ids, labels, 5, 1).assignments != kfold(ids, labels, 5, 2).assignments
+        assert kfold(ids, labels, 5, 1) != kfold(ids, labels, 5, 2)
 
     def test_errors(self):
         with pytest.raises(LengthMismatch):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import oracle_grid_search_c, oracle_train_svm
 from readgauge import models
-from readgauge.errors import MissingResource, MissingScore
+from readgauge.errors import DegenerateLabels, MissingResource, MissingScore
 from readgauge.evaluation import cross_validate
 from readgauge.pipeline import FeaturePipeline, PipelineConfig
 from readgauge.registry import Resources
@@ -84,6 +84,25 @@ class TestSvmMatchesSequentialFits:
         assert got.fold_weighted == want.fold_weighted
         assert got.fold_macro == want.fold_macro
         assert min(got.fold_weighted) < 1.0
+
+
+class TestSvmInnerFoldWithOneClass:
+    def test_keeps_c_1(self):
+        docs, labels = corpus()
+        # 12 easy documents and 1 hard one: the inner fold holding out the hard
+        # document trains on one class, so the grid cannot be scored.
+        docs, labels = docs[0::2] + [docs[1]], labels[0::2] + [labels[1]]
+        svm = flesch_pipeline(model="svm")
+        svm.fit(docs, labels)
+        untuned = flesch_pipeline(model="linear")
+        untuned.fit(docs, labels)
+        assert np.array_equal(svm.model.weights, untuned.model.weights)
+        assert np.array_equal(svm.model.bias, untuned.model.bias)
+
+    def test_one_class_overall_still_raises(self):
+        docs, labels = corpus()
+        with pytest.raises(DegenerateLabels):
+            flesch_pipeline(model="svm").fit(docs[0::2], labels[0::2])
 
 
 class TestWordTypes:

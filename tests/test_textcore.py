@@ -1,8 +1,10 @@
+import random
 import string
 
 from hypothesis import given
 from hypothesis import strategies as st
 
+from oracles import oracle_tokenize
 from readgauge.textcore import (
     count_syllables,
     make_document,
@@ -76,6 +78,42 @@ class TestTokenize:
         toks = tokenize('"Stop," he said.')
         again = tokenize(" ".join(t.surface for t in toks))
         assert [t.surface for t in again] == [t.surface for t in toks]
+
+    def test_periods_inside_a_word_stay(self):
+        assert [t.surface for t in tokenize("U.S.A.")] == ["U.S.A", "."]
+
+    def test_slash_inside_a_word_stays(self):
+        assert [t.surface for t in tokenize("x/y")] == ["x/y"]
+
+    def test_underscore_is_not_alphanumeric(self):
+        toks = tokenize("(__init__)")
+        assert [t.surface for t in toks] == ["(", "_", "_", "init", "_", "_", ")"]
+        assert [t.is_word for t in toks] == [False, False, False, True, False, False, False]
+
+
+# Underscore, a combining mark, numerals that are not ASCII digits, spaces that
+# are not ASCII, separators str.split() cuts at, format characters it does not
+# cut at, and the punctuation at a word's edge: where the two rules could part.
+_EDGE_ALPHABET = (
+    "_\u0301²Ⅻ٣中\u00a0\u3000\u001c\u001d\u001e\u001f\u200b\ufeff—‘’“”'-."
+    + string.ascii_letters + string.digits + "  "
+)
+
+
+class TestTokenizeMatchesIndexLoops:
+    """Token equality compares every field: surface, case, word flag, syllables, length."""
+
+    def test_random_strings(self):
+        rng = random.Random(9)
+        for _ in range(20_000):
+            text = "".join(rng.choices(_EDGE_ALPHABET, k=rng.randrange(25)))
+            assert tokenize(text) == oracle_tokenize(text), repr(text)
+
+    def test_every_bmp_code_point(self):
+        for cp in range(0x10000):
+            ch = chr(cp)
+            for text in (ch, "a" + ch + "b"):
+                assert tokenize(text) == oracle_tokenize(text), hex(cp)
 
 
 class TestCountSyllables:
