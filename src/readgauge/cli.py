@@ -17,6 +17,7 @@ from typing import Optional
 from . import data_files, registry, synth
 from .cky import Parser
 from .errors import (
+    BadArgument,
     BadOutput,
     BadSize,
     DuplicateId,
@@ -313,8 +314,15 @@ _COMMANDS = (
 )
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """A usage error raises ``BadArgument`` naming the (sub)command; subparsers inherit it."""
+
+    def error(self, message):
+        raise BadArgument(f"{self.prog}: {message}")
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="readgauge")
+    parser = _ArgumentParser(prog="readgauge")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, func, help_text, flags in _COMMANDS:
         p = sub.add_parser(name, help=help_text)
@@ -325,9 +333,8 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_arg_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_arg_parser().parse_args(argv)
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             raise BadOutput(f"cannot write {args.out}: not a directory")
         return args.func(args)

@@ -47,10 +47,6 @@ class EmptyKBest(ReadgaugeError):
     code = "EmptyKBest"
 
 
-class MissingLexicon(ReadgaugeError):
-    code = "MissingLexicon"
-
-
 class SupportViolation(ReadgaugeError):
     code = "SupportViolation"
 
@@ -85,6 +81,10 @@ class SizeTooLarge(ReadgaugeError):
 
 class BadSize(ReadgaugeError):
     code = "BadSize"
+
+
+class BadArgument(ReadgaugeError):
+    code = "BadArgument"
 
 
 class MissingResource(ReadgaugeError):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import chain, zip_longest
 from typing import Protocol, Sequence
 
 import numpy as np
@@ -49,19 +50,21 @@ def kfold(doc_ids: Sequence[str], labels: Sequence[int], k: int, seed: int) -> d
         raise LengthMismatch(f"{n} ids vs {len(labels)} labels")
     if k < 2 or k > n:
         raise TooFewSamples(f"k={k} with n={n}")
+    pools = _class_pools(doc_ids, labels, seed)
+    return {doc_id: i % k for i, doc_id in enumerate(chain.from_iterable(pools))}
+
+
+def _class_pools(items: Sequence, labels: Sequence[int], seed: int) -> list[list]:
+    """``items`` grouped by label in label order, each group sorted, then
+    shuffled in turn by one ``random.Random(seed)``."""
+    by_class: dict[int, list] = {}
+    for item, label in zip(items, labels):
+        by_class.setdefault(label, []).append(item)
     rng = random.Random(seed)
-    by_class: dict[int, list[str]] = {}
-    for doc_id, label in zip(doc_ids, labels):
-        by_class.setdefault(label, []).append(doc_id)
-    assignments: dict[str, int] = {}
-    cursor = 0
-    for label in sorted(by_class):
-        ids = sorted(by_class[label])
-        rng.shuffle(ids)
-        for doc_id in ids:
-            assignments[doc_id] = cursor % k
-            cursor += 1
-    return assignments
+    pools = [sorted(by_class[label]) for label in sorted(by_class)]
+    for pool in pools:
+        rng.shuffle(pool)
+    return pools
 
 
 def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int], n_classes: int) -> np.ndarray:
@@ -98,6 +101,18 @@ def f1_scores(
     return per_class, weighted, macro
 
 
+def _fit_f1(
+    pipeline: Pipeline, docs: Sequence[Document], labels: Sequence[int],
+    train: Sequence[int], test: Sequence[int], n_classes: int,
+) -> tuple[float, float]:
+    """Weighted and macro F1 on the ``test`` indices of a clone fit on the ``train`` indices."""
+    model = pipeline.clone()
+    model.fit([docs[i] for i in train], [labels[i] for i in train])
+    preds = model.predict([docs[i] for i in test])
+    _, weighted, macro = f1_scores([labels[i] for i in test], preds, n_classes)
+    return weighted, macro
+
+
 def cross_validate(
     pipeline: Pipeline,
     docs: Sequence[Document],
@@ -109,39 +124,14 @@ def cross_validate(
     """k-fold protocol: fit on the train folds only, score the held-out fold."""
     doc_ids = [d.doc_id for d in docs]
     fold_of = kfold(doc_ids, labels, k=k, seed=seed)
-    fold_weighted: list[float] = []
-    fold_macro: list[float] = []
+    report = EvalReport(fold_weighted=[], fold_macro=[])
     for fold in range(k):
-        train_idx = [i for i, d in enumerate(docs) if fold_of[d.doc_id] != fold]
-        test_idx = [i for i, d in enumerate(docs) if fold_of[d.doc_id] == fold]
-        model = pipeline.clone()
-        model.fit([docs[i] for i in train_idx], [labels[i] for i in train_idx])
-        preds = model.predict([docs[i] for i in test_idx])
-        truth = [labels[i] for i in test_idx]
-        _, weighted, macro = f1_scores(truth, preds, n_classes)
-        fold_weighted.append(weighted)
-        fold_macro.append(macro)
-    return EvalReport(fold_weighted=fold_weighted, fold_macro=fold_macro)
-
-
-def _stratified_order(indices: list[int], labels: Sequence[int], rng: random.Random) -> list[int]:
-    """Interleave shuffled per-class index lists so every prefix is balanced."""
-    by_class: dict[int, list[int]] = {}
-    for i in indices:
-        by_class.setdefault(labels[i], []).append(i)
-    pools = []
-    for label in sorted(by_class):
-        pool = sorted(by_class[label])
-        rng.shuffle(pool)
-        pools.append(pool)
-    order: list[int] = []
-    pos = 0
-    while any(pos < len(p) for p in pools):
-        for pool in pools:
-            if pos < len(pool):
-                order.append(pool[pos])
-        pos += 1
-    return order
+        train = [i for i, d in enumerate(docs) if fold_of[d.doc_id] != fold]
+        test = [i for i, d in enumerate(docs) if fold_of[d.doc_id] == fold]
+        weighted, macro = _fit_f1(pipeline, docs, labels, train, test, n_classes)
+        report.fold_weighted.append(weighted)
+        report.fold_macro.append(macro)
+    return report
 
 
 def size_ablation(
@@ -166,21 +156,13 @@ def size_ablation(
         raise BadSize(f"training sizes must be integers >= 1, got {list(sizes)}")
     if max(sizes) > len(pool_idx):
         raise SizeTooLarge(f"max size {max(sizes)} > pool {len(pool_idx)}")
-    rng = random.Random(seed)
-    order = _stratified_order(pool_idx, labels, rng)
-    test_docs = [docs[i] for i in test_idx]
-    test_labels = [labels[i] for i in test_idx]
+    pools = _class_pools(pool_idx, [labels[i] for i in pool_idx], seed)
+    # Round-robin over the class pools, so every prefix is balanced.
+    order = [i for row in zip_longest(*pools) for i in row if i is not None]
     curve: list[tuple[int, float, float]] = []
     for size in sizes:
-        chosen = order[:size]
-        train_docs = [docs[i] for i in chosen]
-        train_labels = [labels[i] for i in chosen]
-        row = []
-        for pipe in (pipeline_with, pipeline_without):
-            model = pipe.clone()
-            model.fit(train_docs, train_labels)
-            preds = model.predict(test_docs)
-            _, _, macro = f1_scores(test_labels, preds, n_classes)
-            row.append(macro)
-        curve.append((size, row[0], row[1]))
+        train = order[:size]
+        _, macro_with = _fit_f1(pipeline_with, docs, labels, train, test_idx, n_classes)
+        _, macro_without = _fit_f1(pipeline_without, docs, labels, train, test_idx, n_classes)
+        curve.append((size, macro_with, macro_without))
     return curve

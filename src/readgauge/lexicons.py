@@ -35,9 +35,6 @@ class NormTable:
     name: str
     entries: dict[str, float]
 
-    def __contains__(self, word: str) -> bool:
-        return word in self.entries
-
 
 @dataclass(frozen=True)
 class SenseTable:

@@ -75,12 +75,12 @@ def standardize(X: np.ndarray) -> tuple[np.ndarray, Scaler]:
     return scaler.transform(X), scaler
 
 
-def _check_labels(y: np.ndarray) -> tuple[np.ndarray, int]:
+def _check_labels(y: np.ndarray) -> int:
+    """The class count ``max(y) + 1``; ``DegenerateLabels`` unless ``y`` has 2 classes or more."""
     classes = np.unique(y)
     if classes.size < 2:
         raise DegenerateLabels("need at least 2 classes")
-    n_classes = int(classes.max()) + 1
-    return classes, n_classes
+    return int(classes.max()) + 1
 
 
 def softmax_loss_grad(
@@ -180,7 +180,7 @@ def train_logistic(
     """Full-batch gradient descent with step-halving backtracking."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    _, n_classes = _check_labels(y)
+    n_classes = _check_labels(y)
     Xs, scaler = standardize(X)
     W = np.zeros((n_classes, X.shape[1]))
     b = np.zeros(n_classes)
@@ -209,7 +209,7 @@ def train_linear_svm(
     """One-vs-rest hinge subgradient descent; keeps the best checkpoint."""
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
-    _, n_classes = _check_labels(y)
+    n_classes = _check_labels(y)
     Xs, scaler = standardize(X)
     W, b = _svm_fit_stack(Xs, y, n_classes, [C])
     return _linear_model(W[0], b[0], scaler, feature_names)
@@ -255,7 +255,7 @@ def grid_search_c(
     for fold in range(folds):
         test = fold_of == fold
         y_train = y[~test]
-        _, fold_classes = _check_labels(y_train)
+        fold_classes = _check_labels(y_train)
         Xs, scaler = standardize(X[~test])
         W, b = _svm_fit_stack(Xs, y_train, fold_classes, Cs)
         preds = (scaler.transform(X[test]) @ W.transpose(0, 2, 1) + b[:, None, :]).argmax(axis=2)

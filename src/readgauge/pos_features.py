@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import MalformedRow, MissingLexicon, SupportViolation
+from .errors import MalformedRow, SupportViolation
 from .inputs import csv_rows
 from .textcore import Document, ratio
 
@@ -105,8 +105,6 @@ def _suffix_tag(surface: str, position: int) -> str:
 
 def tag(doc: Document, lexicon: dict[str, str]) -> TaggedDocument:
     """Tag every word token via lexicon lookup with suffix fallback."""
-    if lexicon is None:
-        raise MissingLexicon("tag lexicon not loaded")
     sentences = []
     for sent in doc.sentences:
         pairs = []

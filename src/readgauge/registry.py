@@ -151,13 +151,7 @@ NAME_TO_GROUP = {
 
 
 def _dedup(names: list[str]) -> tuple[str, ...]:
-    seen = set()
-    out = []
-    for n in names:
-        if n not in seen:
-            seen.add(n)
-            out.append(n)
-    return tuple(out)
+    return tuple(dict.fromkeys(names))
 
 
 LEXICAL_DIVERSITY_MEMBERS = _dedup(

@@ -8,6 +8,9 @@ plain sequential loops: one fit per C and inner fold, and one public
 multi-pass one: a node list, a parent map keyed by ``id()``, an ancestor
 climb per clause and a separate height recursion. The tokenizer is the
 earlier index loop over each whitespace-separated chunk.
+The fold assignment and the ablation's training order are the earlier
+per-class loops: a cursor over the shuffled classes, and a position-by-position
+interleave of the shuffled class pools.
 """
 
 from __future__ import annotations
@@ -367,6 +370,43 @@ def oracle_grid_search_c(X, y, grid, folds=5, seed=0):
         if mean_score > best_score:
             best_score, best_c = mean_score, c
     return float(best_c)
+
+
+def oracle_kfold(doc_ids, labels, k, seed):
+    """Fold of each id: a cursor over the per-class shuffled, sorted id lists."""
+    rng = random.Random(seed)
+    by_class = {}
+    for doc_id, label in zip(doc_ids, labels):
+        by_class.setdefault(label, []).append(doc_id)
+    assignments = {}
+    cursor = 0
+    for label in sorted(by_class):
+        ids = sorted(by_class[label])
+        rng.shuffle(ids)
+        for doc_id in ids:
+            assignments[doc_id] = cursor % k
+            cursor += 1
+    return assignments
+
+
+def oracle_stratified_order(indices, labels, rng):
+    """Interleave shuffled per-class index lists so every prefix is balanced."""
+    by_class = {}
+    for i in indices:
+        by_class.setdefault(labels[i], []).append(i)
+    pools = []
+    for label in sorted(by_class):
+        pool = sorted(by_class[label])
+        rng.shuffle(pool)
+        pools.append(pool)
+    order = []
+    pos = 0
+    while any(pos < len(p) for p in pools):
+        for pool in pools:
+            if pos < len(pool):
+                order.append(pool[pos])
+        pos += 1
+    return order
 
 
 def _oracle_internal_nodes(tree: ParseTree):

@@ -1,9 +1,12 @@
 import csv
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
+import readgauge
 from readgauge.cli import (
     ingest_corpus,
     load_scores,
@@ -632,3 +635,55 @@ class TestResources:
         ])
         assert code == 1
         assert_one_error_line(capsys, "MissingResource")
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv", [
+        ["ablate", "--manifest", "m.csv", "--features", "flesch", "--out", "o"],
+        ["eval", "--manifest", "m.csv", "--features", "flesch", "--out", "o", "--folds", "x"],
+        ["eval", "--manifest", "m.csv", "--features", "flesch", "--out", "o", "--model", "tree"],
+        ["eval", "--manifest", "m.csv", "--features", "flesch", "--out", "o", "--no-such-flag"],
+        ["bogus"],
+        [],
+    ])
+    def test_one_error_line(self, capsys, argv):
+        assert main(argv) == 1
+        line = assert_one_error_line(capsys, "BadArgument")
+        assert line.startswith("error: BadArgument: readgauge")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["eval", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: readgauge eval")
+
+
+def run_under_hash_seed(hash_seed, argv):
+    """``readgauge argv`` in a fresh interpreter with ``PYTHONHASHSEED=hash_seed``."""
+    src = os.path.dirname(os.path.dirname(readgauge.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": path}
+    subprocess.run([sys.executable, "-m", "readgauge.cli", *argv], env=env, check=True,
+                   capture_output=True)
+
+
+class TestHashSeedIndependence:
+    def test_same_bytes_under_two_hash_seeds(self, tmp_path):
+        outputs = []
+        for hash_seed in (0, 1):
+            out = tmp_path / f"hash_seed_{hash_seed}"
+            manifest = str(out / "corpus" / "manifest.csv")
+            run_under_hash_seed(hash_seed, [
+                "synth", "--out", str(out / "corpus"), "--docs", "60", "--seed", "7"])
+            run_under_hash_seed(hash_seed, [
+                "extract", "--manifest", manifest, "--features", "word_types+linguistic",
+                "--out", str(out / "extract")])
+            run_under_hash_seed(hash_seed, [
+                "ablate", "--manifest", manifest, "--features", "word_types+pos",
+                "--baseline-features", "word_types", "--model", "svm", "--sizes", "12,24,48",
+                "--out", str(out / "ablate")])
+            outputs.append([
+                (out / name).read_bytes()
+                for name in ("corpus/manifest.csv", "extract/features.csv", "ablate/ablation.csv")
+            ])
+        assert outputs[0] == outputs[1]

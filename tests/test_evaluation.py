@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_f1
+from oracles import oracle_kfold, oracle_stratified_order
 from readgauge.errors import LengthMismatch, SizeTooLarge, TooFewSamples
 from readgauge.evaluation import (
     confusion_matrix,
@@ -229,3 +230,71 @@ class TestSizeAblation:
         by_id = {d.doc_id: l for d, l in zip(docs, labels)}
         counts = Counter(by_id[i] for i in spies[0].fit_calls[0])
         assert max(counts.values()) - min(counts.values()) <= 1
+
+
+class _Doc:
+    """Stand-in document: the evaluation code reads only ``doc_id``."""
+
+    def __init__(self, doc_id, index):
+        self.doc_id = doc_id
+        self.index = index
+
+
+class _RecordingPipeline:
+    """Records the document indices of every fit and predict; predicts class 0."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def clone(self):
+        return _RecordingPipeline(self.calls)
+
+    def fit(self, docs, labels):
+        self.calls.append(("fit", [d.index for d in docs]))
+
+    def predict(self, docs):
+        self.calls.append(("predict", [d.index for d in docs]))
+        return [0] * len(docs)
+
+
+def random_split_case(rng, min_n):
+    """Ids and labels: up to 6 labels drawn from 0..9 (so with gaps, or a
+    single class), and in about a third of the cases repeated ids."""
+    n = rng.randint(min_n, 40)
+    label_values = rng.sample(range(10), rng.randint(1, 6))
+    labels = [rng.choice(label_values) for _ in range(n)]
+    if rng.random() < 0.3:
+        ids = [f"d{rng.randrange(max(1, n // 2))}" for _ in range(n)]
+    else:
+        ids = [f"d{j}" for j in rng.sample(range(1000), n)]
+    return ids, labels
+
+
+class TestSplitsMatchPerClassLoops:
+    CASES = 20_000
+
+    def test_kfold(self):
+        rng = random.Random(101)
+        for _ in range(self.CASES):
+            ids, labels = random_split_case(rng, min_n=2)
+            k = rng.randint(2, len(ids))
+            seed = rng.randrange(1000)
+            got = kfold(ids, labels, k, seed)
+            assert list(got.items()) == list(oracle_kfold(ids, labels, k, seed).items())
+
+    def test_ablation_training_order_and_test_split(self):
+        rng = random.Random(202)
+        for _ in range(self.CASES):
+            ids, labels = random_split_case(rng, min_n=5)
+            seed = rng.randrange(1000)
+            fold_of = oracle_kfold(ids, labels, 5, seed)
+            test = [i for i, d in enumerate(ids) if fold_of[d] == 0]
+            pool = [i for i, d in enumerate(ids) if fold_of[d] != 0]
+            if not pool:  # every id repeats one that fold 0 holds
+                continue
+            order = oracle_stratified_order(pool, labels, random.Random(seed))
+            calls = []
+            docs = [_Doc(d, i) for i, d in enumerate(ids)]
+            pipe = _RecordingPipeline(calls)
+            size_ablation(pipe, pipe, [len(pool)], docs, labels, max(labels) + 1, seed=seed)
+            assert calls == [("fit", order), ("predict", test)] * 2
