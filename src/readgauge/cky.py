@@ -6,6 +6,13 @@ joined from the children's serials; candidates are ordered by
 list matches exhaustive enumeration.
 Binary rules are indexed by their left child, so a cell looks up only the
 rules whose left child is present in the left sub-span.
+
+Most cells of a sentence are empty, so the chart keeps a split-point index:
+``ends[i]`` is the ascending list of m whose cell (i, m) is non-empty, and
+``starts[j]`` the set of i whose cell (i, j) is. Cell (i, j) visits only
+the m in ``ends[i]`` that are also in ``starts[j]``, in ascending order, so
+its candidate order, and with it every tie-break, is that of a loop over
+all m from i + 1 to j - 1.
 """
 
 from __future__ import annotations
@@ -116,7 +123,10 @@ class Parser:
         if oov:
             raise NoParse(f"tokens not in grammar terminals: {oov}")
         n = len(tokens)
+        # Only non-empty cells are stored, and indexed by ends and starts.
         chart: dict[tuple[int, int], dict[str, list[Item]]] = {}
+        ends: list[list[int]] = [[] for _ in range(n)]
+        starts: list[set[int]] = [set() for _ in range(n + 1)]
 
         for i, tok in enumerate(tokens):
             cell: dict[str, list[Item]] = {}
@@ -126,26 +136,34 @@ class Parser:
             # number of rules over one terminal.
             for items in cell.values():
                 items.sort(key=lambda it: (it[0], it[1]))
-            chart[(i, i + 1)] = cell
+            if cell:
+                chart[(i, i + 1)] = cell
+                ends[i].append(i + 1)
+                starts[i + 1].add(i)
 
         for span in range(2, n + 1):
             for i in range(0, n - span + 1):
                 j = i + span
+                starts_j = starts[j]
                 # Candidate sources per LHS: (rule, left list, right list).
                 options: dict[str, list[tuple[CnfRule, list[Item], list[Item]]]] = {}
-                for m in range(i + 1, j):
+                # Spans are filled shortest first, so ends[i] holds only
+                # m < j here, in ascending order.
+                for m in ends[i]:
+                    if m not in starts_j:
+                        continue
                     right_cell = chart[(m, j)]
                     for b, lefts in chart[(i, m)].items():
                         for rule in self.binary_by_left.get(b, ()):
                             rights = right_cell.get(rule.rhs[1])
                             if rights:
                                 options.setdefault(rule.lhs, []).append((rule, lefts, rights))
-                cell = {}
-                for lhs, opts in options.items():
-                    cell[lhs] = _merge_kbest(opts, k)
-                chart[(i, j)] = cell
+                if options:
+                    chart[(i, j)] = {lhs: _merge_kbest(opts, k) for lhs, opts in options.items()}
+                    ends[i].append(j)
+                    starts[j].add(i)
 
-        root = chart[(0, n)].get(self.grammar.start, [])
+        root = chart.get((0, n), {}).get(self.grammar.start, [])
         if not root:
             raise NoParse(f"no derivation for {tokens!r} rooted at {self.grammar.start}")
         parses = []

@@ -154,6 +154,9 @@ def size_ablation(
     pool_idx = [i for i, d in enumerate(docs) if fold_of[d.doc_id] != 0]
     if not sizes or min(sizes) < 1:
         raise BadSize(f"training sizes must be integers >= 1, got {list(sizes)}")
+    repeated = [s for i, s in enumerate(sizes) if s in sizes[:i]]
+    if repeated:
+        raise BadSize(f"training size {repeated[0]} is repeated in {list(sizes)}")
     if max(sizes) > len(pool_idx):
         raise SizeTooLarge(f"max size {max(sizes)} > pool {len(pool_idx)}")
     pools = _class_pools(pool_idx, [labels[i] for i in pool_idx], seed)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional
 
 # Sentence-final abbreviations that must not trigger a split.
@@ -110,6 +110,8 @@ def count_syllables(word: str) -> int:
     return max(groups, 1)
 
 
+# Token is frozen, so every occurrence of a surface can share one instance.
+@lru_cache(maxsize=1 << 16)
 def _make_token(surface: str) -> Token:
     is_word = any(c.isalnum() for c in surface)
     return Token(

@@ -7,7 +7,9 @@ plain sequential loops: one fit per C and inner fold, and one public
 ``hinge_loss_grad`` call per epoch. The constituent counter is the earlier
 multi-pass one: a node list, a parent map keyed by ``id()``, an ancestor
 climb per clause and a separate height recursion. The tokenizer is the
-earlier index loop over each whitespace-separated chunk.
+earlier index loop over each whitespace-separated chunk. The k-best chart is
+the earlier loop over every split point of every cell, empty sub-spans
+included.
 The fold assignment and the ablation's training order are the earlier
 per-class loops: a cursor over the shuffled classes, and a position-by-position
 interleave of the shuffled class pools.
@@ -21,7 +23,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from readgauge.cky import ParseTree
+from readgauge.cky import KBestList, ParseTree, Parser, _item, _merge_kbest
+from readgauge.errors import NoParse
 from readgauge.evaluation import f1_scores, kfold
 from readgauge.grammar import Grammar, Rule, make_grammar
 from readgauge.models import (
@@ -155,6 +158,46 @@ def tree_logprob_by_rules(tree: ParseTree, grammar: Grammar) -> float:
 
     walk(tree)
     return total
+
+
+# -- chart oracle (the every-split loop; items and merge from the library) -----
+
+
+def oracle_kbest(parser: Parser, tokens: list[str], k: int) -> KBestList:
+    """``parser``'s k-best list from a chart that tries every split point m of
+    every cell (i, j), empty sub-spans included."""
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    if not tokens:
+        raise NoParse("empty token sequence")
+    oov = sorted({t for t in tokens if t not in parser.grammar.terminals})
+    if oov:
+        raise NoParse(f"tokens not in grammar terminals: {oov}")
+    n = len(tokens)
+    chart: dict = {}
+    for i, tok in enumerate(tokens):
+        cell: dict = {}
+        for rule in parser.lexical.get(tok, []):
+            cell.setdefault(rule.lhs, []).append(_item(rule, (tok,), tok))
+        for items in cell.values():
+            items.sort(key=lambda it: (it[0], it[1]))
+        chart[(i, i + 1)] = cell
+    for span in range(2, n + 1):
+        for i in range(0, n - span + 1):
+            j = i + span
+            options: dict = {}
+            for m in range(i + 1, j):
+                right_cell = chart[(m, j)]
+                for b, lefts in chart[(i, m)].items():
+                    for rule in parser.binary_by_left.get(b, ()):
+                        rights = right_cell.get(rule.rhs[1])
+                        if rights:
+                            options.setdefault(rule.lhs, []).append((rule, lefts, rights))
+            chart[(i, j)] = {lhs: _merge_kbest(opts, k) for lhs, opts in options.items()}
+    root = chart[(0, n)].get(parser.grammar.start, [])
+    if not root:
+        raise NoParse(f"no derivation for {tokens!r} rooted at {parser.grammar.start}")
+    return KBestList(parses=tuple(item[2][0] for item in root[:k]), requested_k=k)
 
 
 # -- tokenizer oracle (the index loops; tokens built by the library) ----------

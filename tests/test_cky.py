@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from oracles import enumerate_derivations, random_grammar
-from readgauge.cky import Parser
+from oracles import enumerate_derivations, oracle_kbest, random_grammar
+from readgauge.cky import ParseTree, Parser
 from readgauge.errors import NoParse
 from readgauge.grammar import Rule, make_grammar
 
@@ -147,6 +147,38 @@ class TestInvariants:
                     assert got == expected[:k]
                     truncated += len(expected) > k
         assert truncated > 100
+
+    def test_matches_every_split_oracle(self):
+        # The chart visits only split points with two non-empty sub-spans;
+        # the every-split loop must give the same trees, bit for bit.
+        def nodes(tree):
+            out = [(tree.serialize(), repr(tree.log_prob))]
+            for c in tree.children:
+                if isinstance(c, ParseTree):
+                    out.extend(nodes(c))
+            return out
+
+        rng = random.Random(97)
+        parsed = no_parse = 0
+        for _ in range(80):
+            g = random_grammar(rng)
+            parser = Parser(g)
+            terms = sorted(g.terminals)
+            for _ in range(6):
+                toks = [rng.choice(terms) for _ in range(rng.randint(1, 7))]
+                for k in (1, 2, 3, 5, 10, 1000):
+                    try:
+                        expected = oracle_kbest(parser, toks, k)
+                    except NoParse:
+                        with pytest.raises(NoParse):
+                            parser.kbest(toks, k)
+                        no_parse += 1
+                        continue
+                    got = parser.kbest(toks, k)
+                    assert got.requested_k == expected.requested_k
+                    assert [nodes(t) for t in got.parses] == [nodes(t) for t in expected.parses]
+                    parsed += 1
+        assert parsed > 500 and no_parse > 1000
 
     def test_parse_trees_yield_tokens(self, catalan_grammar):
         toks = ["a", "a", "a", "a"]

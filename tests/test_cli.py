@@ -535,6 +535,17 @@ class TestInputBoundary:
         assert code == 1
         assert_one_error_line(capsys, "BadSize")
 
+    def test_ablate_repeated_size(self, small_corpus, tmp_path, capsys):
+        code = main([
+            "ablate", "--manifest", manifest_of(small_corpus), "--features", "flesch",
+            "--baseline-features", "word_types", "--model", "logistic",
+            "--sizes", "10,10,5", "--out", str(tmp_path / "a"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "BadSize")
+        assert "10" in line and "repeated" in line
+        assert not (tmp_path / "a" / "ablation.csv").exists()
+
 
 OUTPUT_COMMANDS = {
     "synth": "synth --docs 3",

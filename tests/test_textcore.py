@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from oracles import oracle_tokenize
 from readgauge.textcore import (
+    Token,
     count_syllables,
     make_document,
     split_sentences,
@@ -89,6 +90,29 @@ class TestTokenize:
         toks = tokenize("(__init__)")
         assert [t.surface for t in toks] == ["(", "_", "_", "init", "_", "_", ")"]
         assert [t.is_word for t in toks] == [False, False, False, True, False, False, False]
+
+
+class TestSharedTokens:
+    def test_one_token_per_surface(self):
+        toks = tokenize("the cat saw the cat")
+        assert toks[0] is toks[3]
+        assert toks[1] is toks[4]
+        assert toks[0] is not toks[1]
+
+    def test_shared_tokens_equal_fresh_ones(self):
+        text = 'The cat, "the CAT" -- don\'t; U.S.A. 42 ... the cat!'
+        toks = tokenize(text) + tokenize(text)
+        assert {t.is_word for t in toks} == {True, False}
+        for tok in toks:
+            surface = tok.surface
+            is_word = any(c.isalnum() for c in surface)
+            assert tok == Token(
+                surface=surface,
+                lowercased=surface.lower(),
+                is_word=is_word,
+                syllables=count_syllables(surface) if is_word else 0,
+                char_count=len(surface),
+            )
 
 
 # Underscore, a combining mark, numerals that are not ASCII digits, spaces that
