@@ -14,24 +14,13 @@ def as_classes(
     ordering: Optional[Sequence[str]] = None,
 ) -> tuple[list[int], list[str]]:
     """Map class names to ids, by ordering file or first-seen order."""
-    if ordering is not None:
-        order = list(ordering)
-        index = {name: i for i, name in enumerate(order)}
-        ids = []
-        for lab in labels:
-            if lab.class_name not in index:
-                raise UnknownClass(lab.class_name)
-            ids.append(index[lab.class_name])
-        return ids, order
-    order = []
-    index = {}
-    ids = []
-    for lab in labels:
-        if lab.class_name not in index:
-            index[lab.class_name] = len(order)
-            order.append(lab.class_name)
-        ids.append(index[lab.class_name])
-    return ids, order
+    names = [lab.class_name for lab in labels]
+    order = list(ordering) if ordering is not None else list(dict.fromkeys(names))
+    index = {name: i for i, name in enumerate(order)}
+    for name in names:
+        if name not in index:
+            raise UnknownClass(name)
+    return [index[name] for name in names], order
 
 
 def load_difficulty_order(path: str) -> list[str]:

@@ -48,6 +48,8 @@ class FeaturePipeline:
         self.config = config
         self.resources = resources
         self.scores = scores
+        static_sets = [s for s in config.feature_sets if s != "word_types"]
+        self._static_set = registry.union_sets(static_sets) if static_sets else None
         # Shared across clones: features that do not depend on the fold.
         self._static_cache = _static_cache if _static_cache is not None else {}
         self.vocab: Optional[list[str]] = None
@@ -64,12 +66,8 @@ class FeaturePipeline:
     def _static_features(self, doc: Document) -> dict[str, float]:
         cached = self._static_cache.get(doc.doc_id)
         if cached is None:
-            static_sets = [s for s in self.config.feature_sets if s != "word_types"]
-            if static_sets:
-                fs = registry.union_sets(static_sets)
-                cached = registry.extract(doc, fs, self.resources)
-            else:
-                cached = {}
+            fs = self._static_set
+            cached = {} if fs is None else registry.extract(doc, fs, self.resources)
             self._static_cache[doc.doc_id] = cached
         return cached
 

@@ -8,6 +8,7 @@ tagset categories, and every zero denominator yields zero.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import MalformedRow, SupportViolation
@@ -15,42 +16,39 @@ from .inputs import csv_rows
 from .textcore import Document, ratio
 
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
-PROPER_NOUN_TAGS = {"NNP", "NNPS"}
-PRONOUN_TAGS = {"PRP", "PRP$", "WP", "WP$"}
-CONJUNCTION_TAGS = {"CC"}
 ADJECTIVE_TAGS = {"JJ", "JJR", "JJS"}
 VERB_TAGS = {"VB", "VBD", "VBG", "VBN", "VBP", "VBZ"}
 ADVERB_TAGS = {"RB", "RBR", "RBS"}
 MODAL_TAGS = {"MD"}
-PREPOSITION_TAGS = {"IN"}
-INTERJECTION_TAGS = {"UH"}
-PERSONAL_PRONOUN_TAGS = {"PRP"}
-WH_PRONOUN_TAGS = {"WP", "WP$"}
-DETERMINER_TAGS = {"DT", "PDT", "WDT"}
 LEXICAL_TAGS = NOUN_TAGS | VERB_TAGS | ADJECTIVE_TAGS | ADVERB_TAGS
 
+# per-word ratio -> the tags it counts; None counts the words whose tag is not lexical
+PER_WORD_TAGS = {
+    "nouns_per_word": NOUN_TAGS,
+    "proper_nouns_per_word": {"NNP", "NNPS"},
+    "pronouns_per_word": {"PRP", "PRP$", "WP", "WP$"},
+    "conjunctions_per_word": {"CC"},
+    "adjectives_per_word": ADJECTIVE_TAGS,
+    "verbs_per_word": VERB_TAGS,
+    "adverbs_per_word": ADVERB_TAGS,
+    "modal_verbs_per_word": MODAL_TAGS,
+    "prepositions_per_word": {"IN"},
+    "interjections_per_word": {"UH"},
+    "personal_pronouns_per_word": {"PRP"},
+    "wh_pronouns_per_word": {"WP", "WP$"},
+    "lexical_words_per_word": LEXICAL_TAGS,
+    "function_words_per_word": None,
+    "determiners_per_word": {"DT", "PDT", "WDT"},
+    "vbs_per_word": {"VB"},
+    "vbds_per_word": {"VBD"},
+    "vbgs_per_word": {"VBG"},
+    "vbns_per_word": {"VBN"},
+    "vbps_per_word": {"VBP"},
+    "vbzs_per_word": {"VBZ"},
+}
+
 POS_FEATURE_NAMES = [
-    "nouns_per_word",
-    "proper_nouns_per_word",
-    "pronouns_per_word",
-    "conjunctions_per_word",
-    "adjectives_per_word",
-    "verbs_per_word",
-    "adverbs_per_word",
-    "modal_verbs_per_word",
-    "prepositions_per_word",
-    "interjections_per_word",
-    "personal_pronouns_per_word",
-    "wh_pronouns_per_word",
-    "lexical_words_per_word",
-    "function_words_per_word",
-    "determiners_per_word",
-    "vbs_per_word",
-    "vbds_per_word",
-    "vbgs_per_word",
-    "vbns_per_word",
-    "vbps_per_word",
-    "vbzs_per_word",
+    *PER_WORD_TAGS,
     "adverb_variation",
     "adjective_variation",
     "modal_verb_variation",
@@ -124,12 +122,10 @@ def pos_ratios(tagged: TaggedDocument) -> dict[str, float]:
     pairs = tagged.pairs
     n = len(pairs)
 
-    tag_count: dict[str, int] = {}
-    for _, t in pairs:
-        tag_count[t] = tag_count.get(t, 0) + 1
+    tag_count = Counter(t for _, t in pairs)
 
     def group(tags) -> int:
-        return sum(tag_count.get(t, 0) for t in tags)
+        return sum(tag_count[t] for t in tags)
 
     nouns = group(NOUN_TAGS)
     verbs = group(VERB_TAGS)
@@ -139,28 +135,11 @@ def pos_ratios(tagged: TaggedDocument) -> dict[str, float]:
     lexical = group(LEXICAL_TAGS)
     unique_verbs = len({w for w, t in pairs if t in VERB_TAGS})
 
-    return {
-        "nouns_per_word": ratio(nouns, n),
-        "proper_nouns_per_word": ratio(group(PROPER_NOUN_TAGS), n),
-        "pronouns_per_word": ratio(group(PRONOUN_TAGS), n),
-        "conjunctions_per_word": ratio(group(CONJUNCTION_TAGS), n),
-        "adjectives_per_word": ratio(adjectives, n),
-        "verbs_per_word": ratio(verbs, n),
-        "adverbs_per_word": ratio(adverbs, n),
-        "modal_verbs_per_word": ratio(modals, n),
-        "prepositions_per_word": ratio(group(PREPOSITION_TAGS), n),
-        "interjections_per_word": ratio(group(INTERJECTION_TAGS), n),
-        "personal_pronouns_per_word": ratio(group(PERSONAL_PRONOUN_TAGS), n),
-        "wh_pronouns_per_word": ratio(group(WH_PRONOUN_TAGS), n),
-        "lexical_words_per_word": ratio(lexical, n),
-        "function_words_per_word": ratio(n - lexical, n),
-        "determiners_per_word": ratio(group(DETERMINER_TAGS), n),
-        "vbs_per_word": ratio(tag_count.get("VB", 0), n),
-        "vbds_per_word": ratio(tag_count.get("VBD", 0), n),
-        "vbgs_per_word": ratio(tag_count.get("VBG", 0), n),
-        "vbns_per_word": ratio(tag_count.get("VBN", 0), n),
-        "vbps_per_word": ratio(tag_count.get("VBP", 0), n),
-        "vbzs_per_word": ratio(tag_count.get("VBZ", 0), n),
+    feats = {
+        name: ratio(n - lexical if tags is None else group(tags), n)
+        for name, tags in PER_WORD_TAGS.items()
+    }
+    feats.update({
         "adverb_variation": ratio(adverbs, lexical),
         "adjective_variation": ratio(adjectives, lexical),
         "modal_verb_variation": ratio(modals, lexical),
@@ -169,7 +148,8 @@ def pos_ratios(tagged: TaggedDocument) -> dict[str, float]:
         "verb_variation_ii": ratio(verbs, lexical),
         "squared_verb_variation_i": ratio(verbs * verbs, unique_verbs),
         "corrected_verb_variation_i": ratio(verbs, math.sqrt(2 * unique_verbs)) if unique_verbs else 0.0,
-    }
+    })
+    return feats
 
 
 def _distribution(pairs) -> dict[str, float]:

@@ -4,6 +4,11 @@ The registry is the single source of truth for fold-independent feature
 names and their order, so CSV headers, model files and fold reports never
 drift. Every member of a set resolves to one extractor group; groups are
 computed at most once per document. ``pipeline`` builds ``word_types``.
+
+Every set but ``novel_syntactic`` is whole groups in a row: ``flesch`` and
+``traditional`` are both the ``traditional`` group, ``lexical_diversity`` is
+``ttr`` then ``senses``, and ``linguistic`` is every group in ``GROUPS``
+order, which is the column order of a ``linguistic`` features CSV.
 """
 
 from __future__ import annotations
@@ -150,32 +155,22 @@ NAME_TO_GROUP = {
 }
 
 
-def _dedup(names: list[str]) -> tuple[str, ...]:
-    return tuple(dict.fromkeys(names))
+def _from_groups(name: str, *groups: str) -> FeatureSet:
+    return FeatureSet(name, tuple(member for group in groups for member in GROUPS[group][0]))
 
-
-LEXICAL_DIVERSITY_MEMBERS = _dedup(
-    list(lexical_features.TTR_FEATURE_NAMES) + list(SENSE_FEATURE_NAMES)
-)
-
-LINGUISTIC_MEMBERS = _dedup(
-    list(lexical_features.TRADITIONAL_FEATURE_NAMES)
-    + list(pos_features.POS_FEATURE_NAMES)
-    + list(parse_features.SYNTACTIC_FEATURE_NAMES)
-    + list(LEXICAL_DIVERSITY_MEMBERS)
-    + PSYCHOLINGUISTIC_FEATURE_NAMES
-    + NOVEL_SYNTACTIC_FEATURE_NAMES
-)
 
 FEATURE_SETS: dict[str, FeatureSet] = {
-    "flesch": FeatureSet("flesch", tuple(lexical_features.TRADITIONAL_FEATURE_NAMES)),
-    "traditional": FeatureSet("traditional", tuple(lexical_features.TRADITIONAL_FEATURE_NAMES)),
-    "pos": FeatureSet("pos", tuple(pos_features.POS_FEATURE_NAMES)),
-    "syntactic": FeatureSet("syntactic", tuple(parse_features.SYNTACTIC_FEATURE_NAMES)),
-    "lexical_diversity": FeatureSet("lexical_diversity", LEXICAL_DIVERSITY_MEMBERS),
-    "psycholinguistic": FeatureSet("psycholinguistic", tuple(PSYCHOLINGUISTIC_FEATURE_NAMES)),
-    "novel_syntactic": FeatureSet("novel_syntactic", tuple(NOVEL_SYNTACTIC_FEATURE_NAMES)),
-    "linguistic": FeatureSet("linguistic", LINGUISTIC_MEMBERS),
+    fs.name: fs
+    for fs in (
+        _from_groups("flesch", "traditional"),
+        _from_groups("traditional", "traditional"),
+        _from_groups("pos", "pos"),
+        _from_groups("syntactic", "syntactic"),
+        _from_groups("lexical_diversity", "ttr", "senses"),
+        _from_groups("psycholinguistic", "psycholinguistic"),
+        FeatureSet("novel_syntactic", tuple(NOVEL_SYNTACTIC_FEATURE_NAMES)),
+        _from_groups("linguistic", *GROUPS),
+    )
 }
 
 
@@ -187,10 +182,8 @@ def resolve_set(name: str) -> FeatureSet:
 
 def union_sets(names: list[str]) -> FeatureSet:
     """Set-union with registry order: members ordered by first occurrence."""
-    members: list[str] = []
-    for name in names:
-        members.extend(resolve_set(name).members)
-    return FeatureSet("+".join(names), _dedup(members))
+    members = (member for name in names for member in resolve_set(name).members)
+    return FeatureSet("+".join(names), tuple(dict.fromkeys(members)))
 
 
 def extract(doc: Document, feature_set: FeatureSet, resources: Resources) -> dict[str, float]:

@@ -56,7 +56,6 @@ class RawLabel:
 @dataclass(frozen=True)
 class Document:
     doc_id: str
-    raw_text: str
     sentences: tuple[Sentence, ...]
     label: Optional[RawLabel] = None
 
@@ -135,12 +134,11 @@ def tokenize(sentence: str) -> list[Token]:
 
 def make_document(doc_id: str, raw_text: str, label: Optional[RawLabel] = None) -> Document:
     """Segment and tokenize raw text into an immutable Document."""
-    text = unicodedata.normalize("NFC", raw_text)
     sentences = tuple(
         Sentence(tokens=tuple(tokenize(sent)), index_in_doc=i)
-        for i, sent in enumerate(split_sentences(text))
+        for i, sent in enumerate(split_sentences(raw_text))
     )
-    return Document(doc_id=doc_id, raw_text=text, sentences=sentences, label=label)
+    return Document(doc_id=doc_id, sentences=sentences, label=label)
 
 
 def ratio(num: float, den: float) -> float:

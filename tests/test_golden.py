@@ -1,12 +1,17 @@
-"""Pinned output bytes: the CLI's BLAS-free outputs on a fixed corpus.
+"""Pinned output bytes: every CLI command's outputs on a fixed corpus.
 
 The manifest and the feature matrix pass through no BLAS call, so their
-bytes must match on every machine. A change that moves one of these values
-changes the program's outputs; it must say which value and why, and re-pin
-the table on purpose. Never update the table to get a pass.
+bytes must match on every machine. The model outputs (eval summaries and
+folds, the ablation curve, model files and the report) pass through BLAS,
+and their last bits may differ on another CPU; a mismatch there on a new
+machine is a finding to record, not a value to re-pin. A change that moves
+one of these values changes the program's outputs; it must say which value
+and why, and re-pin the table on purpose. Never update the table to get a
+pass.
 """
 
 import hashlib
+import shutil
 
 import pytest
 
@@ -15,6 +20,31 @@ from readgauge.cli import main
 GOLDEN_SHA256 = {
     "corpus/manifest.csv": "1999e4e8d4736e45b05a049e8785a67472cb229b54c15ce2a6e634643af3900c",
     "extract/features.csv": "c0f88c003cf375c5410ae6d965e4d4fd5bcf5677fefde4385b6e1ceaa12d2a73",
+    "eval_linguistic_svm/eval_summary.csv": "2a6a2cef68040b17464453c20b5a088a94d493ce76d06a49004b0b31d4aacd54",
+    "eval_linguistic_svm/eval_folds.csv": "1cb27eb937680dff51fc2a623199f3e814bd4a4513d1e6e8eb4328a47fbafb3d",
+    "eval_word_types_logistic/eval_summary.csv": "cb427a70fb032090f1719be9a1520c31e05d83074b69792f5271d80569bf425e",
+    "eval_word_types_logistic/eval_folds.csv": "e3a3ddf31d047c295c22574ad1ce5fe338b221e669369d8e7c9da40f09225df4",
+    "eval_flesch_linear/eval_summary.csv": "cd3f2d8dd6cc2b220872c6127637302f4b1c81bb87887fc2cb94d38462c74d10",
+    "eval_flesch_linear/eval_folds.csv": "7d69bc04641eca844078033b69ce534f0e2f575b364831856f373347f1684c62",
+    "ablate/ablation.csv": "13d499b3d5c4d72ba185441d5c7bae8ee4e78db838ab7d7c283f58ad64406d7e",
+    "train_linguistic_svm/model.json": "7bb485d25ba81858a02d8ed231793d69d43a0ba0893607afb04f320947c5d323",
+    "train_word_types_flesch_logistic/model.json": "3b0b16658c550d7a3b13097a95bf800cc056515c3e9985b0862a106bb3d47884",
+    "report/report.csv": "31fb7410a513b44fc709d4dc70e8cf74bbd4ad645dc7318ed363899a65514432",
+}
+
+# output directory -> command line, run on the corpus in this order
+CORPUS_COMMANDS = {
+    "extract": ["extract", "--features", "word_types+linguistic"],
+    "eval_linguistic_svm": ["eval", "--features", "linguistic", "--model", "svm"],
+    "eval_word_types_logistic": [
+        "eval", "--features", "word_types", "--model", "logistic", "--folds", "3"],
+    "eval_flesch_linear": ["eval", "--features", "flesch", "--model", "linear"],
+    "ablate": [
+        "ablate", "--features", "word_types+pos", "--baseline-features", "word_types",
+        "--model", "svm", "--sizes", "12,24,48"],
+    "train_linguistic_svm": ["train", "--features", "linguistic", "--model", "svm"],
+    "train_word_types_flesch_logistic": [
+        "train", "--features", "word_types+flesch", "--model", "logistic"],
 }
 
 
@@ -23,9 +53,14 @@ def golden_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
     manifest = str(out / "corpus" / "manifest.csv")
     assert main(["synth", "--out", str(out / "corpus"), "--docs", "60", "--seed", "7"]) == 0
-    assert main([
-        "extract", "--manifest", manifest, "--features", "word_types+linguistic",
-        "--out", str(out / "extract")]) == 0
+    for name, (command, *flags) in CORPUS_COMMANDS.items():
+        assert main([command, "--manifest", manifest, *flags, "--out", str(out / name)]) == 0
+    reports = out / "reports"
+    reports.mkdir()
+    for name in CORPUS_COMMANDS:
+        if name.startswith("eval_"):
+            shutil.copy(out / name / "eval_summary.csv", reports / f"{name}.csv")
+    assert main(["report", "--reports", str(reports), "--out", str(out / "report")]) == 0
     return out
 
 

@@ -42,6 +42,22 @@ class TestRegistryShape:
         for name in ("flesch", "pos", "syntactic", "lexical_diversity", "psycholinguistic", "novel_syntactic"):
             assert set(FEATURE_SETS[name].members) <= set(linguistic)
 
+    def test_sets_are_whole_groups(self):
+        def groups_of(members):
+            groups, i = [], 0
+            while i < len(members):
+                group = registry.NAME_TO_GROUP[members[i]]
+                names = registry.GROUPS[group][0]
+                assert members[i : i + len(names)] == names, (group, members[i:])
+                groups.append(group)
+                i += len(names)
+            return groups
+
+        for name, fs in FEATURE_SETS.items():
+            if name != "novel_syntactic":
+                groups_of(fs.members)
+        assert groups_of(FEATURE_SETS["linguistic"].members) == list(registry.GROUPS)
+
     def test_every_member_has_extractor(self):
         for fs in FEATURE_SETS.values():
             for member in fs.members:
