@@ -7,10 +7,10 @@ list matches exhaustive enumeration.
 Binary rules are indexed by their left child, so a cell looks up only the
 rules whose left child is present in the left sub-span.
 
-Most cells of a sentence are empty, so the chart keeps a split-point index:
-``ends[i]`` is the ascending list of m whose cell (i, m) is non-empty, and
-``starts[j]`` the set of i whose cell (i, j) is. Cell (i, j) visits only
-the m in ``ends[i]`` that are also in ``starts[j]``, in ascending order, so
+Most cells of a sentence are empty, so the chart stores only non-empty
+cells and keeps a split-point index: ``ends[i]`` is the ascending list of
+m whose cell (i, m) is non-empty. Cell (i, j) visits only those m, in
+ascending order, and skips an m whose cell (m, j) is not in the chart, so
 its candidate order, and with it every tie-break, is that of a loop over
 all m from i + 1 to j - 1.
 """
@@ -71,10 +71,6 @@ class KBestList:
 Item = tuple[float, str, tuple[Child, ...]]
 
 
-def _child_lp(child: Child) -> float:
-    return child.log_prob if isinstance(child, ParseTree) else 0.0
-
-
 def _item(rule: CnfRule, children: tuple[Child, ...], serial: str) -> Item:
     """The chart item of ``rule`` over ``children``, whose joined serial is ``serial``.
 
@@ -87,7 +83,8 @@ def _item(rule: CnfRule, children: tuple[Child, ...], serial: str) -> Item:
     """
     lp = rule.rule_lp  # 0.0 for intermediate and lifted rules
     for c in children:
-        lp += _child_lp(c)
+        if isinstance(c, ParseTree):
+            lp += c.log_prob
     if is_intermediate(rule.lhs):
         return (-lp, serial, children)
     label = rule.chain[-1]
@@ -109,7 +106,7 @@ class Parser:
         self.lexical: dict[str, list[CnfRule]] = {}
         self.binary_by_left: dict[str, list[CnfRule]] = {}
         for rule in cnf:
-            if rule.is_lexical:
+            if len(rule.rhs) == 1:
                 self.lexical.setdefault(rule.rhs[0], []).append(rule)
             else:
                 self.binary_by_left.setdefault(rule.rhs[0], []).append(rule)
@@ -123,36 +120,32 @@ class Parser:
         if oov:
             raise NoParse(f"tokens not in grammar terminals: {oov}")
         n = len(tokens)
-        # Only non-empty cells are stored, and indexed by ends and starts.
         chart: dict[tuple[int, int], dict[str, list[Item]]] = {}
-        ends: list[list[int]] = [[] for _ in range(n)]
-        starts: list[set[int]] = [set() for _ in range(n + 1)]
+        # Every terminal has a lexical rule (a unary one or its @t_ lift), so
+        # after the OOV check every span-1 cell is non-empty.
+        ends: list[list[int]] = [[i + 1] for i in range(n)]
 
         for i, tok in enumerate(tokens):
             cell: dict[str, list[Item]] = {}
-            for rule in self.lexical.get(tok, []):
+            for rule in self.lexical[tok]:
                 cell.setdefault(rule.lhs, []).append(_item(rule, (tok,), tok))
             # Lexical lists stay untruncated; they are bounded by the
             # number of rules over one terminal.
             for items in cell.values():
                 items.sort(key=lambda it: (it[0], it[1]))
-            if cell:
-                chart[(i, i + 1)] = cell
-                ends[i].append(i + 1)
-                starts[i + 1].add(i)
+            chart[(i, i + 1)] = cell
 
         for span in range(2, n + 1):
             for i in range(0, n - span + 1):
                 j = i + span
-                starts_j = starts[j]
                 # Candidate sources per LHS: (rule, left list, right list).
                 options: dict[str, list[tuple[CnfRule, list[Item], list[Item]]]] = {}
                 # Spans are filled shortest first, so ends[i] holds only
                 # m < j here, in ascending order.
                 for m in ends[i]:
-                    if m not in starts_j:
+                    right_cell = chart.get((m, j))
+                    if right_cell is None:
                         continue
-                    right_cell = chart[(m, j)]
                     for b, lefts in chart[(i, m)].items():
                         for rule in self.binary_by_left.get(b, ()):
                             rights = right_cell.get(rule.rhs[1])
@@ -161,17 +154,11 @@ class Parser:
                 if options:
                     chart[(i, j)] = {lhs: _merge_kbest(opts, k) for lhs, opts in options.items()}
                     ends[i].append(j)
-                    starts[j].add(i)
 
         root = chart.get((0, n), {}).get(self.grammar.start, [])
         if not root:
             raise NoParse(f"no derivation for {tokens!r} rooted at {self.grammar.start}")
-        parses = []
-        for neg_lp, _serial, payload in root[:k]:
-            tree = payload[0]
-            assert isinstance(tree, ParseTree)
-            parses.append(tree)
-        return KBestList(parses=tuple(parses), requested_k=k)
+        return KBestList(parses=tuple(item[2][0] for item in root[:k]), requested_k=k)
 
 
 # Successor expansion can misorder mathematically equal candidates whose

@@ -299,17 +299,17 @@ _FLAGS = {
     "out": dict(required=True, help="output directory"),
 }
 _CORPUS_FLAGS = (
-    "manifest", "grammar", "tag-lexicon", "norms", "senses", "difficulty-order", "seed", "out",
-    "features",
+    "manifest", "grammar", "tag-lexicon", "norms", "senses", "difficulty-order", "out", "features",
 )
 _COMMANDS = (
     ("synth", cmd_synth, "generate a synthetic labeled corpus", ("out", "docs", "classes", "seed")),
     ("extract", cmd_extract, "write the feature CSV for a corpus", _CORPUS_FLAGS),
-    ("train", cmd_train, "train a model on the full corpus", _CORPUS_FLAGS + ("model", "scores")),
+    ("train", cmd_train, "train a model on the full corpus",
+     _CORPUS_FLAGS + ("model", "scores", "seed")),
     ("eval", cmd_eval, "k-fold cross-validated evaluation",
-     _CORPUS_FLAGS + ("model", "scores", "folds")),
+     _CORPUS_FLAGS + ("model", "scores", "folds", "seed")),
     ("ablate", cmd_ablate, "training-set-size ablation curve",
-     _CORPUS_FLAGS + ("baseline-features", "model", "sizes")),
+     _CORPUS_FLAGS + ("baseline-features", "model", "sizes", "seed")),
     ("report", cmd_report, "rank evaluation summaries by weighted F1", ("reports", "out")),
 )
 

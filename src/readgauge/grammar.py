@@ -57,10 +57,6 @@ class CnfRule:
     rule_lp: float = 0.0
     lifted: bool = False
 
-    @property
-    def is_lexical(self) -> bool:
-        return len(self.rhs) == 1
-
 
 def is_intermediate(symbol: str) -> bool:
     return symbol.startswith("@")

@@ -3,8 +3,8 @@
 Every file the toolkit reads goes through ``read_text`` or ``csv_rows``, so a
 missing file, bytes that are not UTF-8 and a CSV the ``csv`` module rejects
 all end in a ``ReadgaugeError`` naming the file, never in a traceback. Every
-output file but a synthetic document goes through ``write_atomic``, so a path
-that cannot be written ends in ``BadOutput`` and never in a partial file.
+output file goes through ``write_atomic``, so a path that cannot be written
+ends in ``BadOutput`` and never in a partial file.
 """
 
 from __future__ import annotations

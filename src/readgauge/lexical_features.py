@@ -125,8 +125,8 @@ def ttr_measures(doc: Document) -> dict[str, float]:
         uber = (math.log(types)) ** 2 / math.log(n / types)
     return {
         "type_token_ratio": ratio(types, n),
-        "corrected_type_token_ratio": ratio(types, math.sqrt(2 * n)) if n else 0.0,
-        "root_type_token_ratio": ratio(types, math.sqrt(n)) if n else 0.0,
+        "corrected_type_token_ratio": ratio(types, math.sqrt(2 * n)),
+        "root_type_token_ratio": ratio(types, math.sqrt(n)),
         "bilogarithmic_type_token_ratio": bilog,
         "uber_index": uber,
         "mtld": mtld(tokens),

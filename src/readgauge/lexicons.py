@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedRow
 from .inputs import csv_rows
-from .textcore import Document
+from .textcore import Document, ratio
 
 log = logging.getLogger(__name__)
 
@@ -95,8 +95,6 @@ def mean_rating(doc: Document, table: NormTable) -> tuple[float, float]:
     Uncovered words are skipped; with no coverage both values are zero.
     """
     words = [t.lowercased for t in doc.word_tokens]
-    if not words:
-        return 0.0, 0.0
     hits = [table.entries[w] for w in words if w in table.entries]
     if not hits:
         return 0.0, 0.0
@@ -106,9 +104,6 @@ def mean_rating(doc: Document, table: NormTable) -> tuple[float, float]:
 def sense_features(doc: Document, senses: SenseTable) -> dict[str, float]:
     """Senses/hypernyms/hyponyms per word token (absent words count zero)."""
     words = [t.lowercased for t in doc.word_tokens]
-    n = len(words)
-    if n == 0:
-        return dict.fromkeys(SENSE_FEATURE_NAMES, 0.0)
     totals = [0, 0, 0]
     for w in words:
         if w in senses.entries:
@@ -116,4 +111,4 @@ def sense_features(doc: Document, senses: SenseTable) -> dict[str, float]:
             totals[0] += s
             totals[1] += hyper
             totals[2] += hypo
-    return {name: total / n for name, total in zip(SENSE_FEATURE_NAMES, totals)}
+    return {name: ratio(total, len(words)) for name, total in zip(SENSE_FEATURE_NAMES, totals)}

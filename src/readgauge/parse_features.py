@@ -87,10 +87,6 @@ class TreeCounts:
     pp_children: int = 0
 
 
-def _is_clause(node) -> bool:
-    return isinstance(node, ParseTree) and node.label in CLAUSE_LABELS
-
-
 def _has_dependent_clause(node: ParseTree, under_sbar: bool = False) -> bool:
     for c in node.children:
         if not isinstance(c, ParseTree):
@@ -113,20 +109,12 @@ def _t_unit_roots(tree: ParseTree) -> list[ParseTree]:
         return units
     if root.label not in CLAUSE_LABELS:
         return []
-    clause_children = [c for c in root.children if _is_clause(c)]
-    has_cc = any(isinstance(c, ParseTree) and c.label == "CC" for c in root.children)
+    phrases = [c for c in root.children if isinstance(c, ParseTree)]
+    clause_children = [c for c in phrases if c.label in CLAUSE_LABELS]
+    has_cc = any(c.label == "CC" for c in phrases)
     if has_cc and len(clause_children) >= 2:
         return clause_children
     return [root]
-
-
-def _is_complex_nominal(node: ParseTree) -> bool:
-    if node.label != "NP":
-        return False
-    return len(node.children) > 1 or any(
-        isinstance(c, ParseTree) and c.label in {"SBAR", "PP", "VP"}
-        for c in node.children
-    )
 
 
 def constituent_counts(tree: ParseTree) -> TreeCounts:
@@ -138,6 +126,7 @@ def constituent_counts(tree: ParseTree) -> TreeCounts:
         is above ``node``; ``coordinated``: a sibling of ``node`` is a CC."""
         label = node.label
         children = node.children
+        phrases = [c for c in children if isinstance(c, ParseTree)]
         counts.labels[label] = counts.labels.get(label, 0) + 1
         if label in CLAUSE_LABELS:
             counts.clauses += 1
@@ -145,12 +134,13 @@ def constituent_counts(tree: ParseTree) -> TreeCounts:
             counts.coordinate_clauses += coordinated
         elif label == "NP":
             counts.np_children += len(children)
-            counts.complex_nominals += _is_complex_nominal(node)
+            # A complex nominal has two children or more, or a clause, PP or VP.
+            counts.complex_nominals += len(children) > 1 or any(
+                c.label in {"SBAR", "PP", "VP"} for c in phrases)
         elif label == "VP":
             counts.vp_children += len(children)
         elif label == "PP":
             counts.pp_children += len(children)
-        phrases = [c for c in children if isinstance(c, ParseTree)]
         has_cc = any(c.label == "CC" for c in phrases)
         under_sbar = under_sbar or label == "SBAR"
         height = 0

@@ -106,9 +106,7 @@ def tag(doc: Document, lexicon: dict[str, str]) -> TaggedDocument:
     sentences = []
     for sent in doc.sentences:
         pairs = []
-        for pos, tok in enumerate(sent.tokens):
-            if not tok.is_word:
-                continue
+        for pos, tok in enumerate(sent.word_tokens):
             t = lexicon.get(tok.lowercased)
             if t is None:
                 t = _suffix_tag(tok.surface, pos)
@@ -147,7 +145,7 @@ def pos_ratios(tagged: TaggedDocument) -> dict[str, float]:
         "verb_variation_i": ratio(verbs, unique_verbs),
         "verb_variation_ii": ratio(verbs, lexical),
         "squared_verb_variation_i": ratio(verbs * verbs, unique_verbs),
-        "corrected_verb_variation_i": ratio(verbs, math.sqrt(2 * unique_verbs)) if unique_verbs else 0.0,
+        "corrected_verb_variation_i": ratio(verbs, math.sqrt(2 * unique_verbs)),
     })
     return feats
 

@@ -13,7 +13,7 @@ import os
 import random
 from dataclasses import dataclass
 
-from .errors import BadOutput, BadSize
+from .errors import BadSize
 from .inputs import write_atomic
 
 # The bundled grammar, tag lexicon, norms and sense counts cover exactly
@@ -118,22 +118,16 @@ def generate_corpus(
     class_names = [f"level_{i}" for i in range(n_classes)]
     rng = random.Random(seed)
     rows = []
-    try:
-        os.makedirs(os.path.join(out_dir, "docs"), exist_ok=True)
-        for i in range(n_docs):
-            class_name = class_names[i % n_classes]
-            doc_id = f"doc{i:04d}"
-            text = generate_document_text(rng, class_name)
-            path = os.path.join("docs", f"{doc_id}.txt")
-            with open(os.path.join(out_dir, path), "w", encoding="utf-8") as fh:
-                fh.write(text + "\n")
-            lo, hi = CLASS_AGE_RANGES[class_name]
-            rows.append([doc_id, path, class_name, f"{lo}", f"{hi}"])
-        with open(os.path.join(out_dir, "difficulty_order.txt"), "w", encoding="utf-8") as fh:
-            for name in class_names:
-                fh.write(name + "\n")
-    except OSError as exc:
-        raise BadOutput(f"cannot write into {out_dir}: {exc}") from None
+    for i in range(n_docs):
+        class_name = class_names[i % n_classes]
+        doc_id = f"doc{i:04d}"
+        text = generate_document_text(rng, class_name) + "\n"
+        path = os.path.join("docs", f"{doc_id}.txt")
+        write_atomic(os.path.join(out_dir, path), lambda fh: fh.write(text))
+        lo, hi = CLASS_AGE_RANGES[class_name]
+        rows.append([doc_id, path, class_name, f"{lo}", f"{hi}"])
+    order = "".join(name + "\n" for name in class_names)
+    write_atomic(os.path.join(out_dir, "difficulty_order.txt"), lambda fh: fh.write(order))
     header = ["doc_id", "path", "class_name", "age_low", "age_high"]
     manifest_path = os.path.join(out_dir, "manifest.csv")
     return write_atomic(manifest_path, lambda fh: csv.writer(fh).writerows([header, *rows]))

@@ -154,9 +154,7 @@ def word_type_proportions(doc: Document, vocab: list[str]) -> dict[str, float]:
     """
     words = [t.lowercased for t in doc.word_tokens]
     n = len(words)
-    if n == 0:
-        return {w: 0.0 for w in vocab}
     counts: dict[str, int] = {}
     for w in words:
         counts[w] = counts.get(w, 0) + 1
-    return {w: counts.get(w, 0) / n for w in vocab}
+    return {w: ratio(counts.get(w, 0), n) for w in vocab}

@@ -182,6 +182,17 @@ class TestExtractCommand:
         assert not (tmp_path / "e").exists()
 
 
+    def test_seed_is_not_an_extract_flag(self, small_corpus, tmp_path, capsys):
+        code = main([
+            "extract", "--manifest", manifest_of(small_corpus), "--features", "flesch",
+            "--seed", "7", "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "BadArgument")
+        assert line.startswith("error: BadArgument: readgauge") and "--seed" in line, line
+        assert not (tmp_path / "x").exists()
+
+
 class TestTrainEvalCommands:
     def test_train_writes_model(self, small_corpus, tmp_path):
         out = tmp_path / "model"

@@ -68,3 +68,48 @@ def golden_run(tmp_path_factory):
 def test_output_bytes_are_pinned(golden_run, name):
     digest = hashlib.sha256((golden_run / name).read_bytes()).hexdigest()
     assert digest == GOLDEN_SHA256[name]
+
+
+# Long and tie-heavy sentences over the bundled grammar's words: PP chains
+# whose top readings tie in log-prob, coordinated clauses up to the 40-word
+# cap, one sentence over the cap and one with a word the grammar lacks.
+LONG_SENTENCES_SHA256 = "188f5becd4edecb3489798a0dc19ccb3c1d48cd23c2ffe8fabc6ed883589ab4a"
+
+_PPS = ["with the cat", "in the box", "near the tree", "on the road",
+        "with the ball", "in the lake", "near the car", "on the bed",
+        "with the hat", "in the cup", "near the door", "on the boy"]
+
+
+def _clause(n_pps: int, start: int = 0) -> str:
+    return " ".join(["the man sees the dog", *(_PPS[(start + i) % len(_PPS)] for i in range(n_pps))])
+
+
+def _text(sentences: list[str]) -> str:
+    return " ".join(s[0].upper() + s[1:] + "." for s in sentences) + "\n"
+
+
+def test_long_and_tied_sentences_are_pinned(tmp_path):
+    docs = {
+        "chains": [_clause(n, n) for n in range(3, 9)],
+        "coordinated": [
+            f"{_clause(3)} and {_clause(4, 3)}",
+            f"{_clause(5, 1)} but {_clause(3, 6)}",
+            f"{_clause(4, 2)} and {_clause(5, 7)}",
+        ],
+        "skipped": [
+            _clause(12),
+            "the man sees the zebra with the cat",
+            _clause(3, 5),
+        ],
+    }
+    rows = ["doc_id,path,class_name"]
+    for i, (doc_id, sentences) in enumerate(docs.items()):
+        (tmp_path / f"{doc_id}.txt").write_text(_text(sentences), encoding="utf-8")
+        rows.append(f"{doc_id},{doc_id}.txt,level_{i % 2}")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "extract"
+    assert main(["extract", "--manifest", str(manifest),
+                 "--features", "syntactic+novel_syntactic", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "features.csv").read_bytes()).hexdigest()
+    assert digest == LONG_SENTENCES_SHA256

@@ -68,6 +68,12 @@ class TestTagger:
         out = tag(doc, {"the": "DT"})
         assert out.pairs[1] == ("smith", "NNP")
 
+    def test_suffix_fallback_counts_only_words(self):
+        # An opening quote is not a word, so the first word stays NN.
+        doc = make_document("d", '"Blorf runs. Blorf runs.')
+        out = tag(doc, {"runs": "VBZ"})
+        assert [s.pairs[0] for s in out.sentences] == [("blorf", "NN"), ("blorf", "NN")]
+
     def test_sentence_structure_preserved(self):
         doc = make_document("d", "The dog runs. The dog runs.")
         out = tag(doc, self.LEX)
