@@ -7,7 +7,13 @@ the package, so no external data is needed.
 
 from readgauge import make_document
 from readgauge.cky import Parser
-from readgauge.data_files import default_data_dir
+from readgauge.data_files import (
+    GRAMMAR_FILE,
+    NORMS_FILE,
+    SENSES_FILE,
+    TAG_LEXICON_FILE,
+    default_data_dir,
+)
 from readgauge.grammar import load_grammar
 from readgauge.lexicons import load_norms, load_senses
 from readgauge.pos_features import load_tag_lexicon
@@ -29,10 +35,10 @@ HARD = (
 def main():
     data = default_data_dir()
     resources = Resources(
-        parser=Parser(load_grammar(os.path.join(data, "demo_grammar.txt"))),
-        tag_lexicon=load_tag_lexicon(os.path.join(data, "tag_lexicon.csv")),
-        norm_tables=load_norms(os.path.join(data, "norms.csv")),
-        sense_table=load_senses(os.path.join(data, "senses.csv")),
+        parser=Parser(load_grammar(os.path.join(data, GRAMMAR_FILE))),
+        tag_lexicon=load_tag_lexicon(os.path.join(data, TAG_LEXICON_FILE)),
+        norm_tables=load_norms(os.path.join(data, NORMS_FILE)),
+        sense_table=load_senses(os.path.join(data, SENSES_FILE)),
     )
 
     docs = {

@@ -334,7 +334,11 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[list[str]] = None) -> int:
     try:
-        args = build_arg_parser().parse_args(argv)
+        # Unknown flags surface here, past the subparser: name the subcommand.
+        args, extras = build_arg_parser().parse_known_args(argv)
+        if extras:
+            raise BadArgument(
+                f"readgauge {args.command}: unrecognized arguments: {' '.join(extras)}")
         if os.path.exists(args.out) and not os.path.isdir(args.out):
             raise BadOutput(f"cannot write {args.out}: not a directory")
         return args.func(args)

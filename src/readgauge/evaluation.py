@@ -10,7 +10,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from .errors import BadSize, LengthMismatch, SizeTooLarge, TooFewSamples
-from .textcore import Document
+from .textcore import Document, mean, ratio
 
 
 @dataclass
@@ -90,15 +90,10 @@ def f1_scores(
         tp = cm[c, c]
         fp = cm[:, c].sum() - tp
         fn = cm[c, :].sum() - tp
-        denom = 2 * tp + fp + fn
-        per_class.append(2 * tp / denom if denom else 0.0)
+        per_class.append(ratio(2 * tp, 2 * tp + fp + fn))
     supports = cm.sum(axis=1)
-    total = supports.sum()
-    weighted = (
-        float(sum(s * f for s, f in zip(supports, per_class)) / total) if total else 0.0
-    )
-    macro = float(sum(per_class) / n_classes) if n_classes else 0.0
-    return per_class, weighted, macro
+    weighted = float(ratio(sum(s * f for s, f in zip(supports, per_class)), supports.sum()))
+    return per_class, weighted, float(mean(per_class))
 
 
 def _fit_f1(

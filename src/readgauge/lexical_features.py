@@ -67,7 +67,7 @@ def surface_stats(doc: Document) -> SurfaceStats:
     """Counts and per-unit rates over word tokens; punctuation is excluded.
 
     Polysyllabic means more than two syllables, long means seven or more
-    characters; every zero denominator yields zero.
+    characters; empty denominators follow ``textcore.ratio``.
     """
     words = doc.word_tokens
     n_sentences = len(doc.sentences)
@@ -117,12 +117,9 @@ def ttr_measures(doc: Document) -> dict[str, float]:
     n = len(tokens)
     types = len(set(tokens))
 
-    bilog = 0.0
-    if n > 1 and types >= 1:
-        bilog = ratio(math.log(types), math.log(n))
-    uber = 0.0
-    if types and n and types != n:
-        uber = (math.log(types)) ** 2 / math.log(n / types)
+    # math.log(0) has no value, so an empty document is zero before any ratio.
+    bilog = ratio(math.log(types), math.log(n)) if n else 0.0
+    uber = ratio(math.log(types) ** 2, math.log(n / types)) if n else 0.0
     return {
         "type_token_ratio": ratio(types, n),
         "corrected_type_token_ratio": ratio(types, math.sqrt(2 * n)),
@@ -164,7 +161,4 @@ def mtld(tokens: list[str], threshold: float = MTLD_THRESHOLD) -> float:
         return 0.0
     forward = _mtld_factors(tokens, threshold)
     backward = _mtld_factors(list(reversed(tokens)), threshold)
-    mean_factors = (forward + backward) / 2.0
-    if mean_factors == 0.0:
-        return 0.0
-    return n / mean_factors
+    return ratio(n, (forward + backward) / 2.0)

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedRow
 from .inputs import csv_rows
-from .textcore import Document, ratio
+from .textcore import Document, mean, ratio
 
 log = logging.getLogger(__name__)
 
@@ -96,9 +96,7 @@ def mean_rating(doc: Document, table: NormTable) -> tuple[float, float]:
     """
     words = [t.lowercased for t in doc.word_tokens]
     hits = [table.entries[w] for w in words if w in table.entries]
-    if not hits:
-        return 0.0, 0.0
-    return sum(hits) / len(hits), len(hits) / len(words)
+    return mean(hits), ratio(len(hits), len(words))
 
 
 def sense_features(doc: Document, senses: SenseTable) -> dict[str, float]:

@@ -22,6 +22,7 @@ import numpy as np
 from .errors import DegenerateLabels, FeatureMismatch, NameCollision
 from .evaluation import f1_scores, kfold
 from .inputs import read_text, write_atomic
+from .textcore import mean
 
 MODEL_FORMAT_VERSION = 1
 
@@ -261,7 +262,7 @@ def grid_search_c(
         preds = (scaler.transform(X[test]) @ W.transpose(0, 2, 1) + b[:, None, :]).argmax(axis=2)
         for g, p in enumerate(preds):
             scores[g].append(f1_scores(list(y[test]), list(p), n_classes)[1])
-    means = [sum(s) / len(s) for s in scores]
+    means = [mean(s) for s in scores]
     return float(Cs[means.index(max(means))])
 
 

@@ -8,12 +8,11 @@ features stay reproducible across runs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .cky import KBestList, ParseTree
 from .errors import EmptyKBest
-from .textcore import Document, ratio
+from .textcore import Document, mean, population_std, ratio
 
 CLAUSE_LABELS = {"S", "SBAR", "SINV", "SQ"}
 WH_PHRASE_LABELS = {"WHNP", "WHPP", "WHADVP", "WHADJP"}
@@ -60,15 +59,13 @@ def _top_logprobs(kbest: KBestList, x: int) -> list[float]:
 
 def parse_deviation(kbest: KBestList, x: int) -> float:
     """Population std of the top-x parse log-probs (all parses if fewer)."""
-    lps = _top_logprobs(kbest, x)
-    mean = sum(lps) / len(lps)
-    return math.sqrt(sum((lp - mean) ** 2 for lp in lps) / len(lps))
+    return population_std(_top_logprobs(kbest, x))
 
 
 def parse_deviation_from_max(kbest: KBestList, x: int) -> float:
     """Best parse log-prob minus the mean of the top-x log-probs."""
     lps = _top_logprobs(kbest, x)
-    return max(lps) - sum(lps) / len(lps)
+    return max(lps) - mean(lps)
 
 
 @dataclass
@@ -184,7 +181,7 @@ def syntactic_ratios(
     vps = label_sum("VP")
     pps = label_sum("PP")
 
-    feats = {
+    return {
         "mean_t_unit_length": ratio(n_words, t_units),
         "mean_parse_tree_height": ratio(sum(c.height for c in totals), n_sentences),
         "subtrees_per_sentence": ratio(sum(c.subtrees for c in totals), n_sentences),
@@ -209,15 +206,7 @@ def syntactic_ratios(
         "complex_nominals_per_clause": ratio(complex_nominals, clauses),
         "complex_nominals_per_t_unit": ratio(complex_nominals, t_units),
         "vps_per_t_unit": ratio(vps, t_units),
+        "pd_2": mean([parse_deviation(kb, 2) for kb in kbest_lists or []]),
+        "pd_10": mean([parse_deviation(kb, 10) for kb in kbest_lists or []]),
+        "pdm_10": mean([parse_deviation_from_max(kb, 10) for kb in kbest_lists or []]),
     }
-
-    if kbest_lists:
-        pd2 = [parse_deviation(kb, 2) for kb in kbest_lists]
-        pd10 = [parse_deviation(kb, 10) for kb in kbest_lists]
-        pdm10 = [parse_deviation_from_max(kb, 10) for kb in kbest_lists]
-        feats["pd_2"] = sum(pd2) / len(pd2)
-        feats["pd_10"] = sum(pd10) / len(pd10)
-        feats["pdm_10"] = sum(pdm10) / len(pdm10)
-    else:
-        feats["pd_2"] = feats["pd_10"] = feats["pdm_10"] = 0.0
-    return feats

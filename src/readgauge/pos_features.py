@@ -2,7 +2,7 @@
 
 The tagger is a most-frequent-tag lexicon with suffix fallbacks; it is
 deterministic and needs no trained model. All ratio features use Penn
-tagset categories, and every zero denominator yields zero.
+tagset categories; empty denominators follow ``textcore.ratio``.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import MalformedRow, SupportViolation
 from .inputs import csv_rows
-from .textcore import Document, ratio
+from .textcore import Document, population_std, ratio
 
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
 ADJECTIVE_TAGS = {"JJ", "JJR", "JJS"}
@@ -155,8 +155,6 @@ def _distribution(pairs) -> dict[str, float]:
     for _, t in pairs:
         counts[t] = counts.get(t, 0) + 1
     total = sum(counts.values())
-    if total == 0:
-        return {}
     return {t: c / total for t, c in sorted(counts.items())}
 
 
@@ -175,22 +173,15 @@ def kl_divergence(p: dict[str, float], q: dict[str, float]) -> float:
 
 def pos_deviation(tagged: TaggedDocument) -> float:
     """Population std of the document tag-proportion vector (tags present)."""
-    dist = _distribution(tagged.pairs)
-    if not dist:
-        return 0.0
-    values = list(dist.values())
-    mean = sum(values) / len(values)
-    return math.sqrt(sum((v - mean) ** 2 for v in values) / len(values))
+    return population_std(list(_distribution(tagged.pairs).values()))
 
 
 def pos_divergence(tagged: TaggedDocument) -> float:
     """Mean per-sentence KL divergence from the document tag distribution."""
     q = _distribution(tagged.pairs)
-    if not q or not tagged.sentences:
-        return 0.0
     total = sum(
         kl_divergence(_distribution(s.pairs), q)
         for s in tagged.sentences
         if s.pairs
     )
-    return total / len(tagged.sentences)
+    return ratio(total, len(tagged.sentences))

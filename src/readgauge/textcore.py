@@ -1,11 +1,14 @@
 """Deterministic sentence segmentation, tokenization and word statistics.
 
 Everything here is rule-based and pure: the same raw text always yields the
-same Document, so every downstream feature is reproducible.
+same Document, so every downstream feature is reproducible. It also holds
+the feature battery's zero rule and averages: ``ratio``, ``mean`` and
+``population_std`` give 0.0 over an empty denominator or list.
 """
 
 from __future__ import annotations
 
+import math
 import re
 import unicodedata
 from dataclasses import dataclass
@@ -144,6 +147,17 @@ def make_document(doc_id: str, raw_text: str, label: Optional[RawLabel] = None) 
 def ratio(num: float, den: float) -> float:
     """``num / den``, or 0.0 when the denominator is zero."""
     return num / den if den else 0.0
+
+
+def mean(values: list[float]) -> float:
+    """Arithmetic mean summed in input order, or 0.0 for an empty list."""
+    return ratio(sum(values), len(values))
+
+
+def population_std(values: list[float]) -> float:
+    """Population standard deviation, or 0.0 for an empty list."""
+    m = mean(values)
+    return math.sqrt(mean([(v - m) ** 2 for v in values]))
 
 
 def word_type_proportions(doc: Document, vocab: list[str]) -> dict[str, float]:

@@ -12,7 +12,8 @@ the earlier loop over every split point of every cell, empty sub-spans
 included.
 The fold assignment and the ablation's training order are the earlier
 per-class loops: a cursor over the shuffled classes, and a position-by-position
-interleave of the shuffled class pools.
+interleave of the shuffled class pools. The mean and population SD are the
+expressions each feature module once wrote inline.
 """
 
 from __future__ import annotations
@@ -250,6 +251,17 @@ def oracle_traditional(n_sentences, n_words, n_chars, n_syllables, n_poly, n_mon
         "forcast": 20.0 - 15.0 * prop_mono,
         "lix": wps + prop_long * 100.0,
     }
+
+
+def oracle_mean(values):
+    """The battery's earlier inline mean; non-empty lists only."""
+    return sum(values) / len(values)
+
+
+def oracle_population_std(values):
+    """The battery's earlier inline population SD; non-empty lists only."""
+    m = sum(values) / len(values)
+    return math.sqrt(sum((v - m) ** 2 for v in values) / len(values))
 
 
 def oracle_ttr(tokens):

@@ -673,6 +673,12 @@ class TestUsageErrors:
         line = assert_one_error_line(capsys, "BadArgument")
         assert line.startswith("error: BadArgument: readgauge")
 
+    def test_unknown_flag_names_the_subcommand(self, capsys):
+        argv = ["extract", "--manifest", "m.csv", "--features", "flesch", "--seed", "7", "--out", "o"]
+        assert main(argv) == 1
+        line = assert_one_error_line(capsys, "BadArgument")
+        assert line == "error: BadArgument: readgauge extract: unrecognized arguments: --seed 7"
+
     def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["eval", "--help"])

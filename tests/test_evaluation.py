@@ -113,6 +113,9 @@ class TestF1:
         assert weighted == pytest.approx(1.0)
         assert macro == pytest.approx(1 / 3)
 
+    def test_no_samples_scores_zero(self):
+        assert f1_scores([], [], 2) == ([0.0, 0.0], 0.0, 0.0)
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             f1_scores([0], [0, 1], 2)

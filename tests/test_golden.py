@@ -113,3 +113,31 @@ def test_long_and_tied_sentences_are_pinned(tmp_path):
                  "--features", "syntactic+novel_syntactic", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "features.csv").read_bytes()).hexdigest()
     assert digest == LONG_SENTENCES_SHA256
+
+
+# Documents whose averages are empty: no text, no words, one unparseable word,
+# no word in any bundled table, every sentence skipped, and one full document.
+ZERO_BRANCHES_SHA256 = "ec8d43f8bcb2acc6933c5d8376e96d3bd5c00e0016f1608828210090b445c494"
+
+ZERO_BRANCH_TEXTS = {
+    "empty": "",
+    "punctuation": "... !!!",
+    "one_word": "Cat.",
+    "unknown_words": "Zebra xylophone quux.",
+    "all_skipped": "The man sees the zebra. The dog sees the zebra.",
+    "parsed": "The cat sees the dog. The dog sees the cat.",
+}
+
+
+def test_zero_branches_are_pinned(tmp_path):
+    rows = ["doc_id,path,class_name"]
+    for i, (doc_id, text) in enumerate(ZERO_BRANCH_TEXTS.items()):
+        (tmp_path / f"{doc_id}.txt").write_text(text, encoding="utf-8")
+        rows.append(f"{doc_id},{doc_id}.txt,{'ab'[i % 2]}")
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "extract"
+    assert main(["extract", "--manifest", str(manifest),
+                 "--features", "word_types+linguistic", "--out", str(out)]) == 0
+    digest = hashlib.sha256((out / "features.csv").read_bytes()).hexdigest()
+    assert digest == ZERO_BRANCHES_SHA256

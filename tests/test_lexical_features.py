@@ -162,6 +162,13 @@ class TestTtr:
         assert set(feats.values()) == {0.0}
         assert list(feats) == TTR_FEATURE_NAMES
 
+    def test_one_word(self):
+        feats = ttr_measures(make_document("d", "cat"))
+        assert feats["bilogarithmic_type_token_ratio"] == 0.0  # log(1) = 0 denominator
+        assert feats["uber_index"] == 0.0
+        for name, val in oracle_ttr(["cat"]).items():
+            assert feats[name] == val, name
+
     def test_matches_oracle(self):
         rng = random.Random(9)
         vocab = [f"w{i}" for i in range(12)]

@@ -4,11 +4,13 @@ import string
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import oracle_tokenize
+from oracles import oracle_mean, oracle_population_std, oracle_tokenize
 from readgauge.textcore import (
     Token,
     count_syllables,
     make_document,
+    mean,
+    population_std,
     split_sentences,
     tokenize,
     word_type_proportions,
@@ -188,6 +190,19 @@ class TestWordTypeProportions:
         props = word_type_proportions(doc, ["a", "b"])
         assert all(0.0 <= v <= 1.0 for v in props.values())
         assert sum(props.values()) <= 1.0 + 1e-12
+
+
+class TestAverages:
+    def test_empty_is_zero(self):
+        assert mean([]) == 0.0
+        assert population_std([]) == 0.0
+
+    def test_match_inline_expressions_bit_for_bit(self):
+        rng = random.Random(5)
+        for _ in range(2000):
+            values = [rng.uniform(-50.0, 50.0) for _ in range(rng.randint(1, 12))]
+            assert mean(values) == oracle_mean(values)
+            assert population_std(values) == oracle_population_std(values)
 
 
 class TestMakeDocument:
