@@ -4,7 +4,7 @@ from .cky import KBestList, Parser, ParseTree
 from .evaluation import EvalReport, cross_validate, f1_scores, kfold, size_ablation
 from .grammar import Grammar, Rule, load_grammar
 from .lexical_features import mtld, surface_stats, traditional_scores, ttr_measures
-from .lexicons import NormTable, SenseTable, load_norms, load_senses, mean_rating, sense_features
+from .lexicons import load_norms, load_senses, mean_rating, sense_features
 from .models import (
     LinearModel,
     fuse,

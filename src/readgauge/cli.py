@@ -103,16 +103,22 @@ def ingest_corpus(manifest_path: str) -> list[Document]:
 
 
 def load_scores(path: str) -> dict[str, list[tuple[str, float]]]:
-    """External score file: doc_id,score_name,value with unique pairs."""
-    scores: dict[str, list[tuple[str, float]]] = {}
-    seen: set[tuple[str, str]] = set()
+    """External score file: doc_id,score_name,value with unique pairs.
+
+    Each document's scores follow the order in which their names first appear
+    in the file, so the fused columns come in one order for every document.
+    """
+    scores: dict[str, dict[str, float]] = {}
+    rank: dict[str, int] = {}
     for line, row in _csv_records(path, ("doc_id", "score_name", "value")):
-        key = (_text_field(row, "doc_id", path, line), _text_field(row, "score_name", path, line))
-        if key in seen:
-            raise DuplicateId(f"duplicate score row {key}")
-        seen.add(key)
-        scores.setdefault(key[0], []).append((key[1], _float_field(row, "value", path, line)))
-    return scores
+        doc_id = _text_field(row, "doc_id", path, line)
+        name = _text_field(row, "score_name", path, line)
+        doc_scores = scores.setdefault(doc_id, {})
+        if name in doc_scores:
+            raise DuplicateId(f"duplicate score row {(doc_id, name)}")
+        doc_scores[name] = _float_field(row, "value", path, line)
+        rank.setdefault(name, len(rank))
+    return {d: sorted(s.items(), key=lambda item: rank[item[0]]) for d, s in scores.items()}
 
 
 def _resource_path(explicit: Optional[str], filename: str) -> Optional[str]:

@@ -44,18 +44,16 @@ class CnfRule:
     ``chain`` is the collapsed unary path of original labels ending at the
     label whose original rule fired, with ``chain_lps`` holding the log-prob
     of each unary step; ``rule_lp`` is the bottom rule's own log-prob.
-    Both are empty/zero for intermediate rules. ``lifted`` marks a synthetic
-    preterminal for a terminal embedded in a long RHS (its leaf splices
-    directly into the parent).
+    A rule's log-prob is ``rule_lp + sum(chain_lps)``. All three are
+    empty/zero for intermediate rules and for the ``@t_`` preterminals lifted
+    from terminals embedded in a long RHS.
     """
 
     lhs: str
     rhs: tuple[str, ...]
-    log_prob: float
     chain: tuple[str, ...] = ()
     chain_lps: tuple[float, ...] = ()
     rule_lp: float = 0.0
-    lifted: bool = False
 
 
 def is_intermediate(symbol: str) -> bool:
@@ -112,6 +110,7 @@ def _grammar(rules: list[Rule], start: Optional[str], terminals: set[str], where
 def load_grammar(path: str) -> Grammar:
     rules: list[Rule] = []
     start: Optional[str] = None
+    start_line = 0
     terminal_names: set[str] = set()
     first_line: dict[tuple[str, tuple[str, ...]], int] = {}
     for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
@@ -122,7 +121,9 @@ def load_grammar(path: str) -> Grammar:
             parts = line.split()
             if len(parts) != 2:
                 raise MalformedRule(f"{path}:{lineno}: bad %start directive")
-            start = parts[1]
+            if start_line:
+                raise MalformedRule(f"{path}:{lineno}: %start repeats line {start_line}: {line!r}")
+            start, start_line = parts[1], lineno
             continue
         m = _RULE_RE.match(line)
         if not m:
@@ -200,7 +201,7 @@ def binarize_cnf(grammar: Grammar) -> list[CnfRule]:
         if term not in lift_cache:
             sym = f"@t_{term}"
             lift_cache[term] = sym
-            cnf.append(CnfRule(lhs=sym, rhs=(term,), log_prob=0.0, lifted=True))
+            cnf.append(CnfRule(lhs=sym, rhs=(term,)))
         return lift_cache[term]
 
     by_lhs: dict[str, list[Rule]] = {}
@@ -215,26 +216,25 @@ def binarize_cnf(grammar: Grammar) -> list[CnfRule]:
             for rule in by_lhs.get(bottom, []):
                 if len(rule.rhs) == 1 and rule.rhs[0] in grammar.nonterminals:
                     continue  # unary NT rule, handled by the closure
-                total_lp = sum(chain_lps) + rule.log_prob
                 prov = dict(chain=chain, chain_lps=chain_lps, rule_lp=rule.log_prob)
                 if len(rule.rhs) == 1:
-                    cnf.append(CnfRule(lhs=top, rhs=rule.rhs, log_prob=total_lp, **prov))
+                    cnf.append(CnfRule(lhs=top, rhs=rule.rhs, **prov))
                     continue
                 symbols = [
                     s if s in grammar.nonterminals else lift_terminal(s)
                     for s in rule.rhs
                 ]
                 if len(symbols) == 2:
-                    cnf.append(CnfRule(lhs=top, rhs=tuple(symbols), log_prob=total_lp, **prov))
+                    cnf.append(CnfRule(lhs=top, rhs=tuple(symbols), **prov))
                     continue
                 # Right-factor: the first split carries the probability.
                 counter += 1
                 prev = f"@{top}_{counter}_1"
-                cnf.append(CnfRule(lhs=top, rhs=(symbols[0], prev), log_prob=total_lp, **prov))
+                cnf.append(CnfRule(lhs=top, rhs=(symbols[0], prev), **prov))
                 for i in range(1, len(symbols) - 2):
                     nxt = f"@{top}_{counter}_{i + 1}"
-                    cnf.append(CnfRule(lhs=prev, rhs=(symbols[i], nxt), log_prob=0.0))
+                    cnf.append(CnfRule(lhs=prev, rhs=(symbols[i], nxt)))
                     prev = nxt
-                cnf.append(CnfRule(lhs=prev, rhs=(symbols[-2], symbols[-1]), log_prob=0.0))
+                cnf.append(CnfRule(lhs=prev, rhs=(symbols[-2], symbols[-1])))
     return cnf
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
 
 from .errors import MalformedRow
 from .inputs import csv_rows
@@ -30,21 +29,10 @@ PSYCHOLINGUISTIC_FEATURE_NAMES = [
 SENSE_FEATURE_NAMES = ("senses_per_word", "hypernyms_per_word", "hyponyms_per_word")
 
 
-@dataclass(frozen=True)
-class NormTable:
-    name: str
-    entries: dict[str, float]
-
-
-@dataclass(frozen=True)
-class SenseTable:
-    entries: dict[str, tuple[int, int, int]]  # word -> (senses, hypernyms, hyponyms)
-
-
-def load_norms(path: str) -> dict[str, NormTable]:
+def load_norms(path: str) -> dict[str, dict[str, float]]:
     """Load a norms CSV (header ``word,<rating-columns...>``).
 
-    Returns one NormTable per rating column. Duplicate words win last with a
+    Returns ``{column: {word: rating}}``. Duplicate words win last with a
     logged warning; a non-numeric rating rejects the file naming the row, and
     a column named twice rejects it naming the column.
     """
@@ -68,11 +56,11 @@ def load_norms(path: str) -> dict[str, NormTable]:
             if word in tables[col]:
                 log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
             tables[col][word] = value
-    return {c: NormTable(name=c, entries=tables[c]) for c in columns}
+    return tables
 
 
-def load_senses(path: str) -> SenseTable:
-    """Load a sense-count CSV (``word,senses,hypernyms,hyponyms``)."""
+def load_senses(path: str) -> dict[str, tuple[int, int, int]]:
+    """Load a sense-count CSV as ``{word: (senses, hypernyms, hyponyms)}``."""
     _, rows = csv_rows(path, width=4)
     entries: dict[str, tuple[int, int, int]] = {}
     for rownum, row in rows:
@@ -86,26 +74,26 @@ def load_senses(path: str) -> SenseTable:
         if word in entries:
             log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
         entries[word] = counts  # type: ignore[assignment]
-    return SenseTable(entries=entries)
+    return entries
 
 
-def mean_rating(doc: Document, table: NormTable) -> tuple[float, float]:
+def mean_rating(doc: Document, table: dict[str, float]) -> tuple[float, float]:
     """Mean rating over covered word tokens, plus the coverage fraction.
 
     Uncovered words are skipped; with no coverage both values are zero.
     """
     words = [t.lowercased for t in doc.word_tokens]
-    hits = [table.entries[w] for w in words if w in table.entries]
+    hits = [table[w] for w in words if w in table]
     return mean(hits), ratio(len(hits), len(words))
 
 
-def sense_features(doc: Document, senses: SenseTable) -> dict[str, float]:
+def sense_features(doc: Document, senses: dict[str, tuple[int, int, int]]) -> dict[str, float]:
     """Senses/hypernyms/hyponyms per word token (absent words count zero)."""
     words = [t.lowercased for t in doc.word_tokens]
     totals = [0, 0, 0]
     for w in words:
-        if w in senses.entries:
-            s, hyper, hypo = senses.entries[w]
+        if w in senses:
+            s, hyper, hypo = senses[w]
             totals[0] += s
             totals[1] += hyper
             totals[2] += hypo

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import zip_longest
 from typing import Optional, Sequence
 
 import numpy as np
@@ -220,8 +221,13 @@ def predict(model: LinearModel, X: np.ndarray, feature_names: Optional[Sequence[
     """Argmax class ids with deterministic lowest-id tie-break."""
     X = np.asarray(X, dtype=float)
     if feature_names is not None and tuple(feature_names) != model.feature_names:
+        got = tuple(feature_names)
+        i, want, have = next(
+            (i, w, h) for i, (w, h) in enumerate(zip_longest(model.feature_names, got)) if w != h
+        )
         raise FeatureMismatch(
-            f"expected {len(model.feature_names)} features, got {len(tuple(feature_names))}"
+            f"expected {len(model.feature_names)} features, got {len(got)}; "
+            f"column {i} is {have!r} where the model has {want!r}"
         )
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise FeatureMismatch(

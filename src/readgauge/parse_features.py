@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 from .cky import KBestList, ParseTree
 from .errors import EmptyKBest
-from .textcore import Document, mean, population_std, ratio
+from .textcore import mean, population_std, ratio
 
 CLAUSE_LABELS = {"S", "SBAR", "SINV", "SQ"}
 WH_PHRASE_LABELS = {"WHNP", "WHPP", "WHADVP", "WHADJP"}
@@ -153,18 +153,15 @@ def constituent_counts(tree: ParseTree) -> TreeCounts:
     return counts
 
 
-def syntactic_ratios(
-    doc_trees: list[ParseTree],
-    doc: Document,
-    kbest_lists: list[KBestList] | None = None,
-) -> dict[str, float]:
-    """Document-level syntactic feature vector from per-sentence best parses.
+def syntactic_ratios(kbest_lists: list[KBestList], n_sentences: int) -> dict[str, float]:
+    """Document-level syntactic feature vector from per-sentence k-best lists.
 
-    ``doc_trees`` holds one best parse per successfully parsed sentence;
-    skipped sentences still count toward the sentence denominator. The
-    ambiguity features average per-sentence values over ``kbest_lists``.
+    ``kbest_lists`` holds one list per successfully parsed sentence; the
+    constituent features read its best parse, and the ambiguity features
+    average per-sentence values over the lists. Skipped sentences still count
+    toward ``n_sentences``, the sentence denominator.
     """
-    n_sentences = len(doc.sentences)
+    doc_trees = [kb.parses[0] for kb in kbest_lists]
     totals = [constituent_counts(t) for t in doc_trees]
 
     def label_sum(*labels: str) -> int:
@@ -206,7 +203,7 @@ def syntactic_ratios(
         "complex_nominals_per_clause": ratio(complex_nominals, clauses),
         "complex_nominals_per_t_unit": ratio(complex_nominals, t_units),
         "vps_per_t_unit": ratio(vps, t_units),
-        "pd_2": mean([parse_deviation(kb, 2) for kb in kbest_lists or []]),
-        "pd_10": mean([parse_deviation(kb, 10) for kb in kbest_lists or []]),
-        "pdm_10": mean([parse_deviation_from_max(kb, 10) for kb in kbest_lists or []]),
+        "pd_2": mean([parse_deviation(kb, 2) for kb in kbest_lists]),
+        "pd_10": mean([parse_deviation(kb, 10) for kb in kbest_lists]),
+        "pdm_10": mean([parse_deviation_from_max(kb, 10) for kb in kbest_lists]),
     }

@@ -54,7 +54,6 @@ class FeaturePipeline:
         self._static_cache = _static_cache if _static_cache is not None else {}
         self.vocab: Optional[list[str]] = None
         self.model: Optional[LinearModel] = None
-        self.feature_names: Optional[tuple[str, ...]] = None
 
     def clone(self) -> "FeaturePipeline":
         return FeaturePipeline(
@@ -117,7 +116,6 @@ class FeaturePipeline:
     def fit(self, docs: Sequence[Document], labels: Sequence[int]) -> None:
         self.fit_vocab(docs)
         X, names = self.matrix(docs)
-        self.feature_names = names
         y = np.asarray(labels, dtype=int)
         if self.config.model == "logistic":
             self.model = models.train_logistic(X, y, names)

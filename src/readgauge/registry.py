@@ -23,8 +23,6 @@ from .errors import MissingResource, NoParse
 from .lexicons import (
     PSYCHOLINGUISTIC_FEATURE_NAMES,
     SENSE_FEATURE_NAMES,
-    NormTable,
-    SenseTable,
     mean_rating,
     sense_features,
 )
@@ -50,8 +48,8 @@ class FeatureSet:
 class Resources:
     parser: Optional[Parser] = None
     tag_lexicon: Optional[dict[str, str]] = None
-    norm_tables: Optional[dict[str, NormTable]] = None
-    sense_table: Optional[SenseTable] = None
+    norm_tables: Optional[dict[str, dict[str, float]]] = None
+    sense_table: Optional[dict[str, tuple[int, int, int]]] = None
 
 
 def _compute_traditional(doc: Document, res: Resources) -> dict[str, float]:
@@ -93,7 +91,6 @@ def _compute_novel_pos(doc: Document, res: Resources) -> dict[str, float]:
 def _compute_syntactic(doc: Document, res: Resources) -> dict[str, float]:
     if res.parser is None:
         raise MissingResource("syntactic features require a grammar")
-    trees = []
     kbest_lists = []
     skipped = 0
     for sent in doc.sentences:
@@ -106,11 +103,10 @@ def _compute_syntactic(doc: Document, res: Resources) -> dict[str, float]:
         except NoParse:
             skipped += 1
             continue
-        trees.append(kb.parses[0])
         kbest_lists.append(kb)
     if skipped:
         log.info("doc %s: %d sentence(s) skipped by the parser", doc.doc_id, skipped)
-    return parse_features.syntactic_ratios(trees, doc, kbest_lists)
+    return parse_features.syntactic_ratios(kbest_lists, len(doc.sentences))
 
 
 def _compute_ttr(doc: Document, res: Resources) -> dict[str, float]:

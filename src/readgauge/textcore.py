@@ -40,7 +40,6 @@ class Token:
 @dataclass(frozen=True)
 class Sentence:
     tokens: tuple[Token, ...]
-    index_in_doc: int
 
     # Built once per object: cached_property stores the tuple in the instance
     # __dict__, outside the dataclass fields, so equality and hashing ignore it.
@@ -63,12 +62,8 @@ class Document:
     label: Optional[RawLabel] = None
 
     @cached_property
-    def tokens(self) -> tuple[Token, ...]:
-        return tuple(t for s in self.sentences for t in s.tokens)
-
-    @cached_property
     def word_tokens(self) -> tuple[Token, ...]:
-        return tuple(t for t in self.tokens if t.is_word)
+        return tuple(t for s in self.sentences for t in s.word_tokens)
 
 
 _BOUNDARY = re.compile(r"([.?!]+)(\s+)(?=[\"'(“‘]?[A-Z0-9])")
@@ -137,10 +132,7 @@ def tokenize(sentence: str) -> list[Token]:
 
 def make_document(doc_id: str, raw_text: str, label: Optional[RawLabel] = None) -> Document:
     """Segment and tokenize raw text into an immutable Document."""
-    sentences = tuple(
-        Sentence(tokens=tuple(tokenize(sent)), index_in_doc=i)
-        for i, sent in enumerate(split_sentences(raw_text))
-    )
+    sentences = tuple(Sentence(tokens=tuple(tokenize(s))) for s in split_sentences(raw_text))
     return Document(doc_id=doc_id, sentences=sentences, label=label)
 
 

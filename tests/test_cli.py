@@ -107,6 +107,14 @@ class TestLoadScores:
         assert scores["d1"] == [("gpt", 0.5), ("bert", 1.5)]
         assert scores["d2"] == [("gpt", 2.0)]
 
+    def test_names_follow_first_appearance_in_file(self, tmp_path):
+        p = tmp_path / "scores.csv"
+        p.write_text(
+            "doc_id,score_name,value\nd1,gpt,0.5\nd1,bert,1.5\nd2,bert,3.0\nd2,gpt,2.0\n",
+            encoding="utf-8",
+        )
+        assert load_scores(str(p))["d2"] == [("gpt", 2.0), ("bert", 3.0)]
+
     def test_duplicate_pair(self, tmp_path):
         p = tmp_path / "scores.csv"
         p.write_text("doc_id,score_name,value\nd1,gpt,0.5\nd1,gpt,0.6\n", encoding="utf-8")
@@ -429,6 +437,26 @@ class TestInputErrors:
         assert_one_error_line(capsys, "FeatureMismatch")
 
 
+    def test_score_order_within_a_doc_does_not_matter(self, small_corpus, tmp_path):
+        summaries = []
+        for alternate in (False, True):
+            rows = []
+            for i, doc_id in enumerate(doc_ids_of(small_corpus)):
+                pair = [f"{doc_id},s1,{i % 4}", f"{doc_id},s2,{i % 3}"]
+                rows.extend(pair[::-1] if alternate and i % 2 else pair)
+            run = tmp_path / str(alternate)
+            run.mkdir()
+            scores = run / "s.csv"  # one basename: the summary names the file
+            scores.write_text("doc_id,score_name,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+            assert main([
+                "eval", "--manifest", manifest_of(small_corpus),
+                "--features", "flesch", "--model", "logistic", "--folds", "3",
+                "--scores", str(scores), "--out", str(run / "e"),
+            ]) == 0
+            summaries.append((run / "e" / "eval_summary.csv").read_bytes())
+        assert summaries[0] == summaries[1]
+
+
 class TestExtractMatchesPipeline:
     def test_word_types_header_equals_fitted_feature_names(self, small_corpus, tmp_path):
         out = tmp_path / "wt"
@@ -443,7 +471,7 @@ class TestExtractMatchesPipeline:
         )
         pipe.fit(docs, labels)
         header = read_csv(str(out / "features.csv"))[0]
-        assert header == ["doc_id", "label"] + list(pipe.feature_names)
+        assert header == ["doc_id", "label"] + list(pipe.model.feature_names)
 
 
 def write_one_doc_corpus(tmp_path, doc_bytes):

@@ -29,6 +29,11 @@ def bundled(name):
     return os.path.join(default_data_dir(), name)
 
 
+def test_bundled_directory_holds_exactly_the_named_files():
+    names = {GRAMMAR_FILE, TAG_LEXICON_FILE, NORMS_FILE, SENSES_FILE}
+    assert set(os.listdir(default_data_dir())) == names
+
+
 def test_grammar_terminals_are_the_pool_words():
     assert load_grammar(bundled(GRAMMAR_FILE)).terminals == POOL_WORDS
 
@@ -42,10 +47,10 @@ def test_tag_lexicon_tags_each_pool_word_with_its_pool():
 def test_every_norms_column_covers_the_pool_words():
     tables = load_norms(bundled(NORMS_FILE))
     assert list(tables) == PSYCHOLINGUISTIC_FEATURE_NAMES
-    for table in tables.values():
-        assert set(table.entries) == POOL_WORDS, table.name
+    for name, table in tables.items():
+        assert set(table) == POOL_WORDS, name
 
 
 def test_senses_cover_the_content_words():
-    entries = load_senses(bundled(SENSES_FILE)).entries
+    entries = load_senses(bundled(SENSES_FILE))
     assert set(entries) == set(synth.NOUNS + synth.ADJECTIVES + synth.VERBS)

@@ -30,6 +30,9 @@ GOLDEN_SHA256 = {
     "train_linguistic_svm/model.json": "7bb485d25ba81858a02d8ed231793d69d43a0ba0893607afb04f320947c5d323",
     "train_word_types_flesch_logistic/model.json": "3b0b16658c550d7a3b13097a95bf800cc056515c3e9985b0862a106bb3d47884",
     "report/report.csv": "31fb7410a513b44fc709d4dc70e8cf74bbd4ad645dc7318ed363899a65514432",
+    "fused_eval_flesch_logistic/eval_summary.csv": "e2e030f866839960f07855ea1e4a6440171dd2d6f46c1f40a944834c7e724eee",
+    "fused_eval_flesch_logistic/eval_folds.csv": "27757b803cbbbbd26004ff554496996d692182d6656e591b48ca1e684fb5b374",
+    "fused_train_flesch_logistic/model.json": "1272368ca9b533056d0e9e3e9d2ad4b4b072a7b230066411843302137d96a4ac",
 }
 
 # output directory -> command line, run on the corpus in this order
@@ -48,6 +51,25 @@ CORPUS_COMMANDS = {
 }
 
 
+# Fused runs: each command also reads ``scores.csv`` (see ``write_scores``).
+# Their directories do not start with ``eval_``, so the report leaves them out.
+FUSED_COMMANDS = {
+    "fused_eval_flesch_logistic": ["eval", "--features", "flesch", "--model", "logistic"],
+    "fused_train_flesch_logistic": ["train", "--features", "flesch", "--model", "logistic"],
+}
+
+
+def write_scores(manifest, path):
+    """Two scores per document, ``s1`` then ``s2``, from its manifest position."""
+    with open(manifest, encoding="utf-8") as fh:
+        doc_ids = [line.split(",", 1)[0] for line in fh.read().splitlines()[1:]]
+    rows = ["doc_id,score_name,value"]
+    for i, doc_id in enumerate(doc_ids):
+        rows.append(f"{doc_id},s1,{(i * 7) % 11 / 4}")
+        rows.append(f"{doc_id},s2,{(i * 3) % 5 - 2}")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+
+
 @pytest.fixture(scope="module")
 def golden_run(tmp_path_factory):
     out = tmp_path_factory.mktemp("golden")
@@ -55,6 +77,10 @@ def golden_run(tmp_path_factory):
     assert main(["synth", "--out", str(out / "corpus"), "--docs", "60", "--seed", "7"]) == 0
     for name, (command, *flags) in CORPUS_COMMANDS.items():
         assert main([command, "--manifest", manifest, *flags, "--out", str(out / name)]) == 0
+    write_scores(manifest, out / "scores.csv")
+    for name, (command, *flags) in FUSED_COMMANDS.items():
+        assert main([command, "--manifest", manifest, *flags,
+                     "--scores", str(out / "scores.csv"), "--out", str(out / name)]) == 0
     reports = out / "reports"
     reports.mkdir()
     for name in CORPUS_COMMANDS:

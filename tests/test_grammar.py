@@ -96,6 +96,14 @@ class TestLoadGrammar:
         # make_grammar keeps copies: the enumeration oracle counts each as a derivation.
         assert len(make_grammar([rule("S", ["a"], 0.5), rule("S", ["a"], 0.5)]).rules) == 2
 
+    @pytest.mark.parametrize("second", ["B", "A"])
+    def test_repeated_start_rejected(self, tmp_path, second):
+        text = f"%start A\nA -> 'a' # 1.0\nB -> A # 1.0\n%start {second}\n"
+        path = write_grammar(tmp_path, text)
+        with pytest.raises(MalformedRule) as err:
+            load_grammar(path)
+        assert f"{path}:4:" in str(err.value) and "line 1" in str(err.value)
+
 
 def rule(lhs, rhs, prob):
     return Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob))
@@ -115,7 +123,7 @@ class TestBinarize:
         assert len(collapsed) == 1
         r = collapsed[0]
         assert r.chain == ("S", "A")
-        assert r.log_prob == pytest.approx(0.0)
+        assert r.rule_lp == pytest.approx(0.0)
         assert r.chain_lps == (0.0,)
 
     def test_unary_chain_probability_multiplies(self):
@@ -126,7 +134,7 @@ class TestBinarize:
         ])
         cnf = binarize_cnf(g)
         r = next(r for r in cnf if r.lhs == "S" and r.rhs == ("a",))
-        assert r.log_prob == pytest.approx(math.log(0.4))
+        assert r.rule_lp + sum(r.chain_lps) == pytest.approx(math.log(0.4))
         assert r.rule_lp == pytest.approx(0.0)
         assert r.chain_lps[0] == pytest.approx(math.log(0.4))
 
@@ -141,10 +149,10 @@ class TestBinarize:
         top = next(r for r in cnf if r.lhs == "S")
         assert top.rhs[0] == "A"
         assert is_intermediate(top.rhs[1])
-        assert top.log_prob == pytest.approx(0.0)
+        assert top.rule_lp + sum(top.chain_lps) == pytest.approx(0.0)
         inter = next(r for r in cnf if r.lhs == top.rhs[1])
         assert inter.rhs == ("B", "C")
-        assert inter.log_prob == 0.0
+        assert inter.rule_lp == 0.0 and inter.chain == inter.chain_lps == ()
 
     def test_embedded_terminal_lifted(self):
         g = make_grammar([
@@ -155,7 +163,8 @@ class TestBinarize:
         top = next(r for r in cnf if r.lhs == "S")
         assert top.rhs == ("A", "@t_x")
         lifted = next(r for r in cnf if r.lhs == "@t_x")
-        assert lifted.lifted and lifted.rhs == ("x",)
+        assert is_intermediate(lifted.lhs) and lifted.rhs == ("x",)
+        assert lifted.rule_lp == 0.0 and lifted.chain == lifted.chain_lps == ()
 
     def test_unary_cycle_rejected(self):
         g = make_grammar([
@@ -193,7 +202,7 @@ class TestBinarize:
             rule("B", ["b"], 1.0),
         ])
         cnf = binarize_cnf(g)
-        total = sum(math.exp(r.log_prob) for r in cnf if r.lhs == "S")
+        total = sum(math.exp(r.rule_lp + sum(r.chain_lps)) for r in cnf if r.lhs == "S")
         assert total == pytest.approx(1.0)
 
 

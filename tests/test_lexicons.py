@@ -15,8 +15,8 @@ class TestLoadNorms:
         p = write(tmp_path / "n.csv", "word,aoa,img\ndog,3,5\ncat,5,2\n")
         tables = load_norms(p)
         assert set(tables) == {"aoa", "img"}
-        assert tables["aoa"].entries == {"dog": 3.0, "cat": 5.0}
-        assert tables["img"].entries == {"dog": 5.0, "cat": 2.0}
+        assert tables["aoa"] == {"dog": 3.0, "cat": 5.0}
+        assert tables["img"] == {"dog": 5.0, "cat": 2.0}
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(MissingFile):
@@ -43,12 +43,12 @@ class TestLoadNorms:
         p = write(tmp_path / "n.csv", "word,aoa\ndog,3\ndog,9\n")
         with caplog.at_level("WARNING"):
             tables = load_norms(p)
-        assert tables["aoa"].entries == {"dog": 9.0}
+        assert tables["aoa"] == {"dog": 9.0}
         assert any("duplicate" in r.message for r in caplog.records)
 
     def test_lowercases_keys(self, tmp_path):
         p = write(tmp_path / "n.csv", "word,aoa\nDog,3\n")
-        assert "dog" in load_norms(p)["aoa"].entries
+        assert "dog" in load_norms(p)["aoa"]
 
 
 class TestMeanRating:
@@ -82,7 +82,7 @@ class TestSenses:
     def test_load_and_features(self, tmp_path):
         p = write(tmp_path / "s.csv", "word,senses,hypernyms,hyponyms\ndog,2,1,4\n")
         senses = load_senses(p)
-        assert senses.entries == {"dog": (2, 1, 4)}
+        assert senses == {"dog": (2, 1, 4)}
         feats = sense_features(make_document("d", "dog cat"), senses)
         assert feats == {
             "senses_per_word": 1.0,

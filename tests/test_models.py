@@ -134,8 +134,14 @@ class TestPredict:
     def test_mismatched_names(self):
         X, y = blobs(n_features=2)
         model = train_logistic(X, y, feature_names=["a", "b"])
-        with pytest.raises(FeatureMismatch):
+        with pytest.raises(FeatureMismatch, match="column 1 is 'z' where the model has 'b'"):
             predict(model, X, feature_names=["a", "z"])
+
+    def test_reordered_names_name_the_first_difference(self):
+        X, y = blobs(n_features=2)
+        model = train_logistic(X, y, feature_names=["a", "b"])
+        with pytest.raises(FeatureMismatch, match="column 0 is 'b' where the model has 'a'"):
+            predict(model, X, feature_names=["b", "a"])
 
     def test_mismatched_width(self):
         X, y = blobs(n_features=2)
@@ -251,13 +257,13 @@ class TestPersistence:
 
         X, y = blobs(n_features=2)
         model = train_logistic(X, y)
-        path = str(tmp_path / "model.json")
-        save_model(model, path)
-        payload = json.loads(open(path).read())
+        path = tmp_path / "model.json"
+        save_model(model, str(path))
+        payload = json.loads(path.read_text(encoding="utf-8"))
         payload["format_version"] = 999
-        open(path, "w").write(json.dumps(payload))
+        path.write_text(json.dumps(payload), encoding="utf-8")
         with pytest.raises(FeatureMismatch):
-            load_model(path)
+            load_model(str(path))
 
     @pytest.mark.parametrize("text", [
         '{"format_version": 1, "weights": [[0.5',

@@ -16,7 +16,6 @@ from readgauge.parse_features import (
     parse_deviation_from_max,
     syntactic_ratios,
 )
-from readgauge.textcore import make_document
 
 from oracles import oracle_constituent_counts
 
@@ -198,15 +197,15 @@ def random_sentence(rng):
 
 
 class TestSyntacticRatios:
+    EXAMPLE_KB = KBestList(parses=(EXAMPLE,), requested_k=10)
+
     def test_names_and_shape(self):
-        doc = make_document("d", "the dog runs.")
-        feats = syntactic_ratios([EXAMPLE], doc)
+        feats = syntactic_ratios([self.EXAMPLE_KB], 1)
         assert list(feats) == SYNTACTIC_FEATURE_NAMES
         assert all(math.isfinite(v) for v in feats.values())
 
     def test_per_sentence_denominators(self):
-        doc = make_document("d", "The dog runs. The dog runs.")
-        feats = syntactic_ratios([EXAMPLE, EXAMPLE], doc)
+        feats = syntactic_ratios([self.EXAMPLE_KB, self.EXAMPLE_KB], 2)
         assert feats["nps_per_sentence"] == pytest.approx(1.0)
         assert feats["clauses_per_sentence"] == pytest.approx(1.0)
         assert feats["mean_parse_tree_height"] == pytest.approx(3.0)
@@ -214,23 +213,26 @@ class TestSyntacticRatios:
 
     def test_skipped_sentence_still_counts(self):
         # second sentence unparsed: denominators stay at 2
-        doc = make_document("d", "The dog runs. The dog runs.")
-        feats = syntactic_ratios([EXAMPLE], doc)
+        feats = syntactic_ratios([self.EXAMPLE_KB], 2)
         assert feats["nps_per_sentence"] == pytest.approx(0.5)
 
     def test_zero_denominator_rule(self):
-        doc = make_document("d", "")
-        feats = syntactic_ratios([], doc)
+        feats = syntactic_ratios([], 0)
         assert set(feats.values()) == {0.0}
 
     def test_ambiguity_means(self):
-        doc = make_document("d", "The dog runs. The dog runs.")
         kbs = [kbest_of(-1.0, -3.0), kbest_of(-2.0)]
-        feats = syntactic_ratios([EXAMPLE, EXAMPLE], doc, kbest_lists=kbs)
+        feats = syntactic_ratios(kbs, 2)
         assert feats["pd_2"] == pytest.approx(0.5)  # mean of 1.0 and 0.0
         assert feats["pdm_10"] == pytest.approx(0.5)
 
     def test_no_kbest_lists_zeroes_ambiguity(self):
-        doc = make_document("d", "the dog runs.")
-        feats = syntactic_ratios([EXAMPLE], doc)
+        feats = syntactic_ratios([], 1)
         assert feats["pd_2"] == feats["pd_10"] == feats["pdm_10"] == 0.0
+
+    def test_best_parse_of_each_list_is_counted(self):
+        # Only parses[0] feeds the constituent features.
+        flat = tree("S", tree("VBZ", "runs"))
+        feats = syntactic_ratios([KBestList(parses=(EXAMPLE, flat), requested_k=2)], 1)
+        assert feats == syntactic_ratios([self.EXAMPLE_KB], 1) | {
+            "pd_2": feats["pd_2"], "pd_10": feats["pd_10"], "pdm_10": feats["pdm_10"]}

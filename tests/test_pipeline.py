@@ -112,7 +112,7 @@ class TestWordTypes:
         train = [make_document("a", "apple banana"), make_document("b", "banana cherry")]
         pipe.fit(train, [0, 1])
         assert pipe.vocab == ["apple", "banana", "cherry"]
-        assert pipe.feature_names == ("wt_apple", "wt_banana", "wt_cherry")
+        assert pipe.model.feature_names == ("wt_apple", "wt_banana", "wt_cherry")
         # unseen words at predict time do not widen the matrix
         preds = pipe.predict([make_document("c", "durian banana")])
         assert preds[0] in (0, 1)
@@ -139,7 +139,7 @@ class TestFusion:
         scores = {d.doc_id: [("oracle", float(l))] for d, l in zip(docs, labels)}
         pipe = flesch_pipeline(scores=scores)
         pipe.fit(docs, labels)
-        assert pipe.feature_names[-1] == "oracle"
+        assert pipe.model.feature_names[-1] == "oracle"
         assert pipe.predict(docs) == labels
 
     def test_missing_score_raises(self):

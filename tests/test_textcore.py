@@ -209,14 +209,14 @@ class TestMakeDocument:
     def test_tokens_partition_into_sentences(self):
         doc = make_document("d", "The dog ran. It barked!")
         assert len(doc.sentences) == 2
-        assert [s.index_in_doc for s in doc.sentences] == [0, 1]
-        per_sentence = sum(len(s.tokens) for s in doc.sentences)
-        assert per_sentence == len(doc.tokens)
+        assert [[t.surface for t in s.tokens] for s in doc.sentences] == [
+            ["The", "dog", "ran", "."], ["It", "barked", "!"]]
+        assert doc.word_tokens == doc.sentences[0].word_tokens + doc.sentences[1].word_tokens
 
     def test_empty_doc_representable(self):
         doc = make_document("d", "")
         assert doc.sentences == ()
-        assert doc.tokens == ()
+        assert doc.word_tokens == ()
 
     def test_nfc_normalization(self):
         # e + combining acute composes to a single character.
