@@ -13,10 +13,27 @@ m whose cell (i, m) is non-empty. Cell (i, j) visits only those m, in
 ascending order, and skips an m whose cell (m, j) is not in the chart, so
 its candidate order, and with it every tie-break, is that of a loop over
 all m from i + 1 to j - 1.
+
+Exactly tied readings (PP attachments) would pile up past position k, since
+the merge keeps every near-tie of the k-th item. So a cell of a real symbol
+drops each item x past position k whose serial is greater than the k-th
+smallest serial among the items before it. Those k items have a log-prob no
+lower than x's and a smaller serial, and each beats x in every parent:
+- x's node log-prob is one addend of every ancestor's canonical sum, and
+  IEEE addition is monotone, so swapping in an earlier item never lowers
+  the ancestor's float;
+- the two ancestors' serials differ only inside that item's substring, and
+  two serials of one symbol over one span are never prefixes of each other,
+  so their order is the order of the two items' serials.
+So every root candidate built from x has k distinct candidates strictly
+ahead of it, and the root's top k is what the unpruned chart gives, bit for
+bit. ``@`` cells stay whole: their parents add the spliced children's
+log-probs one at a time, not the item's own sum.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -152,7 +169,11 @@ class Parser:
                             if rights:
                                 options.setdefault(rule.lhs, []).append((rule, lefts, rights))
                 if options:
-                    chart[(i, j)] = {lhs: _merge_kbest(opts, k) for lhs, opts in options.items()}
+                    cell = {}
+                    for lhs, opts in options.items():
+                        items = _merge_kbest(opts, k)
+                        cell[lhs] = items if is_intermediate(lhs) else _drop_dominated(items, k)
+                    chart[(i, j)] = cell
                     ends[i].append(j)
 
         root = chart.get((0, n), {}).get(self.grammar.start, [])
@@ -163,7 +184,10 @@ class Parser:
 
 # Successor expansion can misorder mathematically equal candidates whose
 # floats differ in the last bits, so pop a little past the k-th item and
-# let a final exact sort settle the order.
+# let a final exact sort settle the order. Of the near-ties this keeps past
+# position k, a real symbol's cell then drops those that k earlier items
+# beat in every parent (``_drop_dominated``; the module docstring has the
+# proof), and an ``@`` cell keeps them all.
 _TIE_MARGIN = 1e-9
 
 
@@ -206,3 +230,19 @@ def _merge_kbest(options: list[tuple[CnfRule, list[Item], list[Item]]], k: int) 
             end += 1
         del out[end:]
     return out
+
+
+def _drop_dominated(items: list[Item], k: int) -> list[Item]:
+    """``items`` without each item past position k whose serial is greater
+    than the k-th smallest serial before it; ``items`` is in merge order."""
+    if len(items) <= k:
+        return items
+    smallest = sorted(it[1] for it in items[:k])  # the k smallest serials so far
+    kept = items[:k]
+    for it in items[k:]:
+        if it[1] > smallest[-1]:
+            continue
+        kept.append(it)
+        bisect.insort(smallest, it[1])
+        smallest.pop()
+    return kept

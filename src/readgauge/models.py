@@ -110,19 +110,35 @@ def _targets(y: np.ndarray, n_classes: int) -> np.ndarray:
     return Y
 
 
+def _hinge_work(G: int, n: int, n_classes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Work arrays of shape (G, n, classes) for ``_hinge_stack``: two float, one bool."""
+    shape = (G, n, n_classes)
+    return np.empty(shape), np.empty(shape), np.empty(shape, dtype=bool)
+
+
 def _hinge_stack(
-    W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray, Cs: np.ndarray
+    W: np.ndarray, b: np.ndarray, X: np.ndarray, Y: np.ndarray, Cs: np.ndarray,
+    work: tuple[np.ndarray, np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Hinge losses (G,) and subgradients of G weight slices on the same rows.
 
     Slice g is ``W[g]`` (classes, d), ``b[g]`` and ``Cs[g]``; every slice
-    gets one matmul of the shapes a single fit would use.
+    gets one matmul of the shapes a single fit would use. The (G, n, classes)
+    intermediates overwrite ``work`` (from ``_hinge_work``), so a fit that
+    passes the same arrays every epoch allocates none of them. Arrays of that
+    size freed every epoch can go back to the OS and fault in again on the
+    next one, depending on where the heap put them.
     """
     n = X.shape[0]
-    margins = Y * (X @ W.transpose(0, 2, 1) + b[:, None, :])
-    hinge = np.maximum(0.0, 1.0 - margins)
+    margins, hinge, positive = work
+    np.matmul(X, W.transpose(0, 2, 1), out=margins)
+    margins += b[:, None, :]
+    np.multiply(Y, margins, out=margins)
+    np.subtract(1.0, margins, out=hinge)
+    np.maximum(0.0, hinge, out=hinge)
     loss = 0.5 * (W * W).sum(axis=(1, 2)) + Cs * hinge.sum(axis=(1, 2)) / n
-    active = (hinge > 0).astype(float) * Y  # (G, n, classes)
+    np.greater(hinge, 0, out=positive)
+    active = np.multiply(positive, Y, out=margins)  # (G, n, classes)
     grad_W = W - Cs[:, None, None] * (active.transpose(0, 2, 1) @ X) / n
     grad_b = -Cs[:, None] * active.sum(axis=1) / n
     return loss, grad_W, grad_b
@@ -133,7 +149,8 @@ def hinge_loss_grad(
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """One-vs-rest L2-regularized mean hinge loss and a subgradient."""
     Y = _targets(y, W.shape[0])
-    loss, grad_W, grad_b = _hinge_stack(W[None], b[None], X, Y, np.array([float(C)]))
+    work = _hinge_work(1, X.shape[0], W.shape[0])
+    loss, grad_W, grad_b = _hinge_stack(W[None], b[None], X, Y, np.array([float(C)]), work)
     return float(loss[0]), grad_W[0], grad_b[0]
 
 
@@ -151,13 +168,14 @@ def _svm_fit_stack(
     b = np.zeros((Cs.size, n_classes))
     best_W, best_b = W.copy(), b.copy()
     best_loss = np.full(Cs.size, np.inf)
+    work = _hinge_work(Cs.size, Xs.shape[0], n_classes)
     # Pass SVM_EPOCHS only scores the final weights; its step is discarded.
     for t in range(SVM_EPOCHS + 1):
-        loss, grad_W, grad_b = _hinge_stack(W, b, Xs, Y, Cs)
+        loss, grad_W, grad_b = _hinge_stack(W, b, Xs, Y, Cs, work)
         better = loss < best_loss
-        best_loss[better] = loss[better]
-        best_W[better] = W[better]
-        best_b[better] = b[better]
+        np.copyto(best_loss, loss, where=better)
+        np.copyto(best_W, W, where=better[:, None, None])
+        np.copyto(best_b, b, where=better[:, None])
         step = SVM_LR / (1.0 + t)
         W = W - step * grad_W
         b = b - step * grad_b

@@ -4,13 +4,22 @@ import random
 import pytest
 
 from oracles import enumerate_derivations, oracle_kbest, random_grammar
-from readgauge.cky import ParseTree, Parser
+from readgauge.cky import ParseTree, Parser, _drop_dominated
 from readgauge.errors import NoParse
 from readgauge.grammar import Rule, make_grammar
 
 
 def rule(lhs, rhs, prob):
     return Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob))
+
+
+def _nodes(tree):
+    """(serial, repr(log_prob)) of every node of ``tree``, preorder."""
+    out = [(tree.serialize(), repr(tree.log_prob))]
+    for c in tree.children:
+        if isinstance(c, ParseTree):
+            out.extend(_nodes(c))
+    return out
 
 
 @pytest.fixture
@@ -151,13 +160,6 @@ class TestInvariants:
     def test_matches_every_split_oracle(self):
         # The chart visits only split points with two non-empty sub-spans;
         # the every-split loop must give the same trees, bit for bit.
-        def nodes(tree):
-            out = [(tree.serialize(), repr(tree.log_prob))]
-            for c in tree.children:
-                if isinstance(c, ParseTree):
-                    out.extend(nodes(c))
-            return out
-
         rng = random.Random(97)
         parsed = no_parse = 0
         for _ in range(80):
@@ -176,7 +178,7 @@ class TestInvariants:
                         continue
                     got = parser.kbest(toks, k)
                     assert got.requested_k == expected.requested_k
-                    assert [nodes(t) for t in got.parses] == [nodes(t) for t in expected.parses]
+                    assert [_nodes(t) for t in got.parses] == [_nodes(t) for t in expected.parses]
                     parsed += 1
         assert parsed > 500 and no_parse > 1000
 
@@ -215,3 +217,68 @@ class TestParserReuse:
         second = [p.serialize() for p in parser.kbest(["a"] * 4, 10).parses]
         assert first == second
         assert len(first) == 5  # Catalan(3)
+
+
+@pytest.fixture
+def equal_attachment_grammar():
+    # demos/parse_ambiguity.py's grammar with NP -> NP PP and VP -> VP PP at
+    # one probability: every PP attachment of a sentence ties exactly.
+    return make_grammar([
+        rule("S", ["NP", "VP"], 1.0),
+        rule("NP", ["DT", "NN"], 0.7),
+        rule("NP", ["NP", "PP"], 0.3),
+        rule("VP", ["V", "NP"], 0.7),
+        rule("VP", ["VP", "PP"], 0.3),
+        rule("PP", ["P", "NP"], 1.0),
+        rule("DT", ["the"], 1.0),
+        rule("NN", ["man"], 0.4),
+        rule("NN", ["dog"], 0.4),
+        rule("NN", ["telescope"], 0.2),
+        rule("V", ["sees"], 1.0),
+        rule("P", ["with"], 1.0),
+    ])
+
+
+class TestTiedReadings:
+    """Cells of tied readings are pruned past position k; the root's lists
+    must still be those of the unpruned chart and of exhaustive enumeration."""
+
+    @staticmethod
+    def check(grammar, toks):
+        parser = Parser(grammar)
+        expected = enumerate_derivations(grammar, toks, cap=100000)
+        for k in (1, 2, 3, 10):
+            got = parser.kbest(toks, k).parses
+            assert [_nodes(t) for t in got] == [
+                _nodes(t) for t in oracle_kbest(parser, toks, k).parses]
+            assert [(p.log_prob, p.serialize()) for p in got] == expected[:k]
+        return len(expected)
+
+    @pytest.mark.parametrize("n", range(5, 10))
+    def test_catalan_chains(self, catalan_grammar, n):
+        readings = self.check(catalan_grammar, ["a"] * n)
+        assert readings == math.comb(2 * n - 2, n - 1) // n
+
+    @pytest.mark.parametrize("n_pps", range(3, 7))
+    def test_equal_pp_attachments(self, equal_attachment_grammar, n_pps):
+        toks = "the man sees the dog".split() + "with the telescope".split() * n_pps
+        readings = self.check(equal_attachment_grammar, toks)
+        assert readings == math.comb(2 * n_pps + 2, n_pps + 1) // (n_pps + 2)
+
+    def test_nine_pp_chain_on_bundled_grammar(self, demo_grammar, demo_parser):
+        pps = ["with the cat", "in the box", "near the tree", "on the road", "with the ball",
+               "in the lake", "near the car", "on the bed", "with the hat"]
+        toks = " ".join(["the man sees the dog", *pps]).split()
+        assert len(toks) == 32
+        expected = enumerate_derivations(demo_grammar, toks, cap=100000)
+        assert len(expected) == 16796  # Catalan(10) attachments
+        got = demo_parser.kbest(toks, 10).parses
+        assert [(p.log_prob, p.serialize()) for p in got] == expected[:10]
+
+    def test_drop_dominated_keeps_items_fewer_than_k_earlier_ones_beat(self):
+        # Merge order with k = 2: "e" comes after two or more smaller serials
+        # and goes; "a" and "b" each come after fewer than two and stay.
+        items = [(1.0, "c", ()), (1.0, "d", ()), (1.0 + 1e-12, "a", ()),
+                 (1.0 + 1e-12, "e", ()), (1.0 + 2e-12, "b", ())]
+        assert [it[1] for it in _drop_dominated(items, 2)] == ["c", "d", "a", "b"]
+        assert _drop_dominated(items, 5) == items
