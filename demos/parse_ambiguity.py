@@ -5,15 +5,13 @@ of one sentence with its log-probability, and shows how the PD/PDM
 ambiguity measures summarize the k-best distribution.
 """
 
-import math
-
 from readgauge.cky import Parser
 from readgauge.grammar import Rule, make_grammar
 from readgauge.parse_features import parse_deviation, parse_deviation_from_max
 
 
 def r(lhs, rhs, prob):
-    return Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob))
+    return Rule(lhs=lhs, rhs=tuple(rhs), prob=prob)
 
 
 # "the man sees the dog with the telescope": the PP can attach to the VP

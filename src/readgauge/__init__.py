@@ -25,7 +25,6 @@ from .pos_features import kl_divergence, pos_deviation, pos_divergence, pos_rati
 from .registry import FeatureSet, Resources, extract, resolve_set, union_sets
 from .textcore import (
     Document,
-    RawLabel,
     Sentence,
     Token,
     count_syllables,

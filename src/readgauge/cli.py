@@ -22,10 +22,10 @@ from .errors import (
     BadSize,
     DuplicateId,
     MalformedRow,
+    MalformedRule,
     MissingDoc,
     MissingFile,
     MissingResource,
-    MissingScore,
     ReadgaugeError,
 )
 from .evaluation import cross_validate, size_ablation
@@ -36,7 +36,7 @@ from .lexicons import load_norms, load_senses
 from .models import save_model
 from .pipeline import FEATURE_SET_NAMES, MODEL_KINDS, FeaturePipeline, PipelineConfig
 from .pos_features import load_tag_lexicon
-from .textcore import Document, RawLabel, make_document
+from .textcore import Document, make_document
 
 _SUMMARY_HEADER = ["features", "weighted_f1", "macro_f1", "sd_weighted_f1", "sd_macro_f1"]
 
@@ -95,9 +95,11 @@ def ingest_corpus(manifest_path: str) -> list[Document]:
         if not os.path.isfile(full):
             raise MissingDoc(full)
         text = read_text(full)
-        age_low = _float_field(row, "age_low", manifest_path, line) if row.get("age_low") else None
-        age_high = _float_field(row, "age_high", manifest_path, line) if row.get("age_high") else None
-        label = RawLabel(_text_field(row, "class_name", manifest_path, line), age_low, age_high)
+        # The optional age columns must be finite numbers; nothing reads them.
+        for column in ("age_low", "age_high"):
+            if row.get(column):
+                _float_field(row, column, manifest_path, line)
+        label = _text_field(row, "class_name", manifest_path, line)
         docs.append(make_document(doc_id, text, label))
     return docs
 
@@ -128,13 +130,22 @@ def _resource_path(explicit: Optional[str], filename: str) -> Optional[str]:
     return candidate if os.path.isfile(candidate) else None
 
 
+def _load_parser(path: str) -> Parser:
+    """Parser over a grammar whose terminals are lowercase, as the parsed tokens are."""
+    grammar = load_grammar(path)
+    cased = sorted(t for t in grammar.terminals if t != t.lower())
+    if cased:
+        raise MalformedRule(f"{path}: terminal {cased[0]!r} has capitals, but tokens are lowercased")
+    return Parser(grammar)
+
+
 def build_resources(args) -> registry.Resources:
     grammar_path = _resource_path(args.grammar, data_files.GRAMMAR_FILE)
     lexicon_path = _resource_path(args.tag_lexicon, data_files.TAG_LEXICON_FILE)
     norms_path = _resource_path(args.norms, data_files.NORMS_FILE)
     senses_path = _resource_path(args.senses, data_files.SENSES_FILE)
     return registry.Resources(
-        parser=Parser(load_grammar(grammar_path)) if grammar_path else None,
+        parser=_load_parser(grammar_path) if grammar_path else None,
         tag_lexicon=load_tag_lexicon(lexicon_path) if lexicon_path else None,
         norm_tables=load_norms(norms_path) if norms_path else None,
         sense_table=load_senses(senses_path) if senses_path else None,
@@ -170,15 +181,9 @@ def _load_corpus(args) -> tuple[list[Document], registry.Resources, list[int], l
     return docs, resources, labels, class_order
 
 
-def _fused_scores(args, docs: list[Document]) -> Optional[dict[str, list[tuple[str, float]]]]:
-    """The ``--scores`` table, which must cover every document, or None."""
-    if not args.scores:
-        return None
-    scores = load_scores(args.scores)
-    for doc in docs:
-        if doc.doc_id not in scores:
-            raise MissingScore(f"scores file has no rows for doc {doc.doc_id!r}")
-    return scores
+def _fused_scores(args) -> Optional[dict[str, list[tuple[str, float]]]]:
+    """The ``--scores`` table, or None; the pipeline rejects a document it lacks."""
+    return load_scores(args.scores) if args.scores else None
 
 
 def _pipeline(args, features: list[str], resources: registry.Resources, scores=None) -> FeaturePipeline:
@@ -210,7 +215,7 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     docs, resources, labels, _ = _load_corpus(args)
-    pipe = _pipeline(args, args.features, resources, _fused_scores(args, docs))
+    pipe = _pipeline(args, args.features, resources, _fused_scores(args))
     pipe.fit(docs, labels)
     out_path = os.path.join(args.out, "model.json")
     save_model(pipe.model, out_path)
@@ -220,7 +225,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     docs, resources, labels, class_order = _load_corpus(args)
-    pipe = _pipeline(args, args.features, resources, _fused_scores(args, docs))
+    pipe = _pipeline(args, args.features, resources, _fused_scores(args))
     report = cross_validate(
         pipe, docs, labels, n_classes=len(class_order), k=args.folds, seed=args.seed
     )

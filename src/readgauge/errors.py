@@ -1,103 +1,104 @@
-"""Exception hierarchy shared across the toolkit."""
+"""Exception hierarchy shared across the toolkit.
+
+A subclass's name is its error code: the CLI prints ``error: <Name>: ...``.
+"""
 
 
 class ReadgaugeError(Exception):
     """Base class for all toolkit errors."""
 
-    code = "Error"
-
     def __str__(self):
         # Always one "<Code>: <message>" line, as the CLI prints it to stderr.
-        return f"{self.code}: " + " ".join(super().__str__().splitlines())
+        return f"{type(self).__name__}: " + " ".join(super().__str__().splitlines())
 
 
 class MissingFile(ReadgaugeError):
-    code = "MissingFile"
+    pass
 
 
 class BadEncoding(ReadgaugeError):
-    code = "BadEncoding"
+    pass
 
 
 class BadOutput(ReadgaugeError):
-    code = "BadOutput"
+    pass
 
 
 class MalformedRow(ReadgaugeError):
-    code = "MalformedRow"
+    pass
 
 
 class MalformedRule(ReadgaugeError):
-    code = "MalformedRule"
+    pass
 
 
 class BadProbabilitySum(ReadgaugeError):
-    code = "BadProbabilitySum"
+    pass
 
 
 class UnsupportedRule(ReadgaugeError):
-    code = "UnsupportedRule"
+    pass
 
 
 class NoParse(ReadgaugeError):
-    code = "NoParse"
+    pass
 
 
 class EmptyKBest(ReadgaugeError):
-    code = "EmptyKBest"
+    pass
 
 
 class SupportViolation(ReadgaugeError):
-    code = "SupportViolation"
+    pass
 
 
 class UnknownClass(ReadgaugeError):
-    code = "UnknownClass"
+    pass
 
 
 class DegenerateLabels(ReadgaugeError):
-    code = "DegenerateLabels"
+    pass
 
 
 class NameCollision(ReadgaugeError):
-    code = "NameCollision"
+    pass
 
 
 class FeatureMismatch(ReadgaugeError):
-    code = "FeatureMismatch"
+    pass
 
 
 class LengthMismatch(ReadgaugeError):
-    code = "LengthMismatch"
+    pass
 
 
 class TooFewSamples(ReadgaugeError):
-    code = "TooFewSamples"
+    pass
 
 
 class SizeTooLarge(ReadgaugeError):
-    code = "SizeTooLarge"
+    pass
 
 
 class BadSize(ReadgaugeError):
-    code = "BadSize"
+    pass
 
 
 class BadArgument(ReadgaugeError):
-    code = "BadArgument"
+    pass
 
 
 class MissingResource(ReadgaugeError):
-    code = "MissingResource"
+    pass
 
 
 class MissingDoc(ReadgaugeError):
-    code = "MissingDoc"
+    pass
 
 
 class DuplicateId(ReadgaugeError):
-    code = "DuplicateId"
+    pass
 
 
 class MissingScore(ReadgaugeError):
-    code = "MissingScore"
+    pass

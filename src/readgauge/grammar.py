@@ -23,7 +23,10 @@ class Rule:
     lhs: str
     rhs: tuple[str, ...]
     prob: float
-    log_prob: float
+
+    @property
+    def log_prob(self) -> float:
+        return math.log(self.prob)
 
     def __str__(self):
         return f"{self.lhs} -> {' '.join(self.rhs)} # {self.prob}"
@@ -149,7 +152,7 @@ def load_grammar(path: str) -> Grammar:
         if key in first_line:
             raise MalformedRule(f"{path}:{lineno}: rule repeats line {first_line[key]}: {line!r}")
         first_line[key] = lineno
-        rules.append(Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob)))
+        rules.append(Rule(lhs=lhs, rhs=tuple(rhs), prob=prob))
     return _grammar(rules, start, terminal_names, where=f"{path}: ")
 
 

@@ -6,15 +6,13 @@ from typing import Optional, Sequence
 
 from .errors import MalformedRow, UnknownClass
 from .inputs import read_text
-from .textcore import RawLabel
 
 
 def as_classes(
-    labels: Sequence[RawLabel],
+    names: Sequence[str],
     ordering: Optional[Sequence[str]] = None,
 ) -> tuple[list[int], list[str]]:
     """Map class names to ids, by ordering file or first-seen order."""
-    names = [lab.class_name for lab in labels]
     order = list(ordering) if ordering is not None else list(dict.fromkeys(names))
     index = {name: i for i, name in enumerate(order)}
     for name in names:

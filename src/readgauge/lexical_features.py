@@ -130,7 +130,7 @@ def ttr_measures(doc: Document) -> dict[str, float]:
     }
 
 
-def _mtld_factors(tokens: list[str], threshold: float) -> float:
+def _mtld_factors(tokens: list[str]) -> float:
     """Factor count for one scan direction, with the partial-factor tail."""
     factors = 0.0
     seen: set[str] = set()
@@ -140,17 +140,17 @@ def _mtld_factors(tokens: list[str], threshold: float) -> float:
         count += 1
         seen.add(tok)
         ttr = len(seen) / count
-        if ttr < threshold:
+        if ttr < MTLD_THRESHOLD:
             factors += 1.0
             seen.clear()
             count = 0
             ttr = 1.0
     if count > 0:
-        factors += (1.0 - ttr) / (1.0 - threshold)
+        factors += (1.0 - ttr) / (1.0 - MTLD_THRESHOLD)
     return factors
 
 
-def mtld(tokens: list[str], threshold: float = MTLD_THRESHOLD) -> float:
+def mtld(tokens: list[str]) -> float:
     """Bidirectional measure of textual lexical diversity.
 
     Returns tokens divided by the mean forward/backward factor count; zero
@@ -159,6 +159,6 @@ def mtld(tokens: list[str], threshold: float = MTLD_THRESHOLD) -> float:
     n = len(tokens)
     if n < MTLD_MIN_TOKENS:
         return 0.0
-    forward = _mtld_factors(tokens, threshold)
-    backward = _mtld_factors(list(reversed(tokens)), threshold)
+    forward = _mtld_factors(tokens)
+    backward = _mtld_factors(list(reversed(tokens)))
     return ratio(n, (forward + backward) / 2.0)

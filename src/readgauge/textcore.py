@@ -49,17 +49,10 @@ class Sentence:
 
 
 @dataclass(frozen=True)
-class RawLabel:
-    class_name: str
-    age_low: Optional[float] = None
-    age_high: Optional[float] = None
-
-
-@dataclass(frozen=True)
 class Document:
     doc_id: str
     sentences: tuple[Sentence, ...]
-    label: Optional[RawLabel] = None
+    label: Optional[str] = None
 
     @cached_property
     def word_tokens(self) -> tuple[Token, ...]:
@@ -130,7 +123,7 @@ def tokenize(sentence: str) -> list[Token]:
     return [_make_token(t) for t in _TOKEN.findall(sentence)]
 
 
-def make_document(doc_id: str, raw_text: str, label: Optional[RawLabel] = None) -> Document:
+def make_document(doc_id: str, raw_text: str, label: Optional[str] = None) -> Document:
     """Segment and tokenize raw text into an immutable Document."""
     sentences = tuple(Sentence(tokens=tuple(tokenize(s))) for s in split_sentences(raw_text))
     return Document(doc_id=doc_id, sentences=sentences, label=label)

@@ -136,7 +136,7 @@ def random_grammar(rng: random.Random, max_nts: int = 5) -> Grammar:
         total = sum(weights)
         for rhs, w in zip(raws, weights):
             p = w / total
-            rules.append(Rule(lhs=nt, rhs=rhs, prob=p, log_prob=math.log(p)))
+            rules.append(Rule(lhs=nt, rhs=rhs, prob=p))
     return make_grammar(rules, start=nts[0])
 
 

@@ -10,7 +10,7 @@ from readgauge.grammar import Rule, make_grammar
 
 
 def rule(lhs, rhs, prob):
-    return Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob))
+    return Rule(lhs=lhs, rhs=tuple(rhs), prob=prob)
 
 
 def _nodes(tree):
@@ -274,6 +274,33 @@ class TestTiedReadings:
         assert len(expected) == 16796  # Catalan(10) attachments
         got = demo_parser.kbest(toks, 10).parses
         assert [(p.log_prob, p.serialize()) for p in got] == expected[:10]
+
+    def test_spliced_cells_stay_whole(self):
+        # A parent adds a spliced ``@`` child's log-probs one at a time, not the
+        # child's own sum, so the float order of ``@`` items need not carry over
+        # to their parents: pruning ``@`` cells as well returns the top reading
+        # at -6.827926907841016 here at k = 1, not at -6.827926907841015.
+        grammar = make_grammar([
+            rule("S", ["a"], 0.7333333333333334),
+            rule("S", ["S", "A", "A"], 0.2666666666666666),
+            rule("A", ["a"], 0.48387096774193544),
+            rule("A", ["b"], 0.48387096774193544),
+            rule("A", ["A", "S"], 0.032258064516129115),
+        ])
+        self.check(grammar, "a b a a".split())
+
+    @pytest.mark.parametrize("sentence", ["a b a b", "a a b a b"])
+    def test_rules_of_four_and_five_symbols(self, sentence):
+        grammar = make_grammar([
+            rule("S", ["A", "B", "A", "B"], 0.5),
+            rule("S", ["A", "S", "b", "A", "B"], 0.2),
+            rule("S", ["a"], 0.3),
+            rule("A", ["a"], 0.6),
+            rule("A", ["S", "A"], 0.4),
+            rule("B", ["b"], 0.9),
+            rule("B", ["B", "B"], 0.1),
+        ])
+        self.check(grammar, sentence.split())
 
     def test_drop_dominated_keeps_items_fewer_than_k_earlier_ones_beat(self):
         # Merge order with k = 2: "e" comes after two or more smaller serials

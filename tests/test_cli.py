@@ -508,6 +508,18 @@ class TestInputBoundary:
         assert code == 1
         assert_one_error_line(capsys, "BadEncoding")
 
+    def test_grammar_terminal_with_capitals(self, small_corpus, tmp_path, capsys):
+        # Tokens are lowercased before parsing, so 'Hello' could never match.
+        grammar = tmp_path / "g.txt"
+        grammar.write_text("S -> 'Hello' # 1.0\n", encoding="utf-8")
+        code = main([
+            "extract", "--manifest", manifest_of(small_corpus), "--features", "syntactic",
+            "--grammar", str(grammar), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "MalformedRule")
+        assert "g.txt" in line and "'Hello'" in line
+
     def test_manifest_field_over_csv_limit(self, tmp_path, capsys):
         manifest = write_one_doc_corpus(tmp_path, b"Hi.")
         with open(manifest, "a", encoding="utf-8") as fh:
@@ -675,12 +687,19 @@ class TestResources:
         assert bundled[0] == override[0]
         assert bundled[1:] != override[1:]
 
-    def test_data_env_without_grammar(self, small_corpus, data_dir, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("removed, features", [
+        ("demo_grammar.txt", "syntactic"),
+        ("tag_lexicon.csv", "novel_syntactic"),
+        ("senses.csv", "lexical_diversity"),
+    ], ids=["grammar", "tag_lexicon", "senses"])
+    def test_data_env_without_grammar(
+        self, small_corpus, data_dir, tmp_path, monkeypatch, capsys, removed, features
+    ):
         copy = bundled_copy(data_dir, tmp_path)
-        os.remove(copy / "demo_grammar.txt")
+        os.remove(copy / removed)
         monkeypatch.setenv("READGAUGE_DATA", str(copy))
         code = main([
-            "extract", "--manifest", manifest_of(small_corpus), "--features", "syntactic",
+            "extract", "--manifest", manifest_of(small_corpus), "--features", features,
             "--out", str(tmp_path / "x"),
         ])
         assert code == 1

@@ -46,9 +46,13 @@ class TestLoadGrammar:
         with pytest.raises(MissingFile):
             load_grammar(str(tmp_path / "nope.txt"))
 
-    def test_malformed_line(self, tmp_path):
+    @pytest.mark.parametrize(
+        "line", ["S NP VP 1.0", "%start A B", "S -> # 1.0", "S -> 'a' # abc"],
+        ids=["no_arrow", "start_names_two", "empty_rhs", "bad_probability"],
+    )
+    def test_malformed_line(self, tmp_path, line):
         with pytest.raises(MalformedRule) as err:
-            load_grammar(write_grammar(tmp_path, "S NP VP 1.0\n"))
+            load_grammar(write_grammar(tmp_path, line + "\n"))
         assert ":1:" in str(err.value)
 
     def test_bad_probability(self, tmp_path):
@@ -106,7 +110,7 @@ class TestLoadGrammar:
 
 
 def rule(lhs, rhs, prob):
-    return Rule(lhs=lhs, rhs=tuple(rhs), prob=prob, log_prob=math.log(prob))
+    return Rule(lhs=lhs, rhs=tuple(rhs), prob=prob)
 
 
 class TestBinarize:
@@ -153,6 +157,23 @@ class TestBinarize:
         inter = next(r for r in cnf if r.lhs == top.rhs[1])
         assert inter.rhs == ("B", "C")
         assert inter.rule_lp == 0.0 and inter.chain == inter.chain_lps == ()
+        # Five symbols: a chain of three intermediates, two of them in the middle.
+        g = make_grammar([
+            rule("S", ["A", "B", "C", "A", "B"], 1.0),
+            rule("A", ["a"], 1.0),
+            rule("B", ["b"], 1.0),
+            rule("C", ["c"], 1.0),
+        ])
+        cnf = binarize_cnf(g)
+        rhs = {r.lhs: r.rhs for r in cnf}
+        first = rhs["S"][1]
+        second = rhs[first][1]
+        third = rhs[second][1]
+        assert [rhs["S"][0], rhs[first][0], rhs[second][0], *rhs[third]] == ["A", "B", "C", "A", "B"]
+        assert all(is_intermediate(s) for s in (first, second, third))
+        middle = [r for r in cnf if r.lhs in (first, second, third)]
+        assert len(middle) == 3
+        assert all(r.rule_lp == 0.0 and r.chain == r.chain_lps == () for r in middle)
 
     def test_embedded_terminal_lifted(self):
         g = make_grammar([

@@ -2,11 +2,10 @@ import pytest
 
 from readgauge.errors import MalformedRow, UnknownClass
 from readgauge.labeling import as_classes, load_difficulty_order
-from readgauge.textcore import RawLabel
 
 
 def labels(*names):
-    return [RawLabel(class_name=n) for n in names]
+    return list(names)
 
 
 class TestAsClasses:

@@ -33,6 +33,12 @@ class TestLoadNorms:
             load_norms(p)
         assert "row 3" in str(err.value)
 
+    def test_non_finite_rating_names_row(self, tmp_path):
+        p = write(tmp_path / "n.csv", "word,aoa\ndog,3\ncat,inf\n")
+        with pytest.raises(MalformedRow) as err:
+            load_norms(p)
+        assert "row 3" in str(err.value)
+
     def test_duplicate_column_rejected(self, tmp_path):
         p = write(tmp_path / "n.csv", "word,aoa,img,aoa\ndog,3,5,99\n")
         with pytest.raises(MalformedRow) as err:
@@ -97,6 +103,11 @@ class TestSenses:
 
     def test_negative_count_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv", "word,senses,hypernyms,hyponyms\ndog,-1,0,0\n")
+        with pytest.raises(MalformedRow):
+            load_senses(p)
+
+    def test_non_integer_count_rejected(self, tmp_path):
+        p = write(tmp_path / "s.csv", "word,senses,hypernyms,hyponyms\ndog,x,0,0\n")
         with pytest.raises(MalformedRow):
             load_senses(p)
 

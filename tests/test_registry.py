@@ -100,6 +100,8 @@ class TestExtract:
             extract(doc, FEATURE_SETS["syntactic"], Resources())
         with pytest.raises(MissingResource):
             extract(doc, FEATURE_SETS["psycholinguistic"], Resources())
+        with pytest.raises(MissingResource):  # a norms file with one column
+            extract(doc, FEATURE_SETS["psycholinguistic"], Resources(norm_tables={"aoa": {}}))
 
     def test_full_linguistic_extraction(self, demo_resources):
         doc = make_document("d", "The dog runs. The cat sees a bird.")
