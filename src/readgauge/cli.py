@@ -36,7 +36,7 @@ from .lexicons import load_norms, load_senses
 from .models import save_model
 from .pipeline import FEATURE_SET_NAMES, MODEL_KINDS, FeaturePipeline, PipelineConfig
 from .pos_features import load_tag_lexicon
-from .textcore import Document, make_document
+from .textcore import Document, make_document, tokenize
 
 _SUMMARY_HEADER = ["features", "weighted_f1", "macro_f1", "sd_weighted_f1", "sd_macro_f1"]
 
@@ -136,7 +136,18 @@ def _load_parser(path: str) -> Parser:
     cased = sorted(t for t in grammar.terminals if t != t.lower())
     if cased:
         raise MalformedRule(f"{path}: terminal {cased[0]!r} has capitals, but tokens are lowercased")
+    unmatchable = sorted(t for t in grammar.terminals if not _is_word_token(t))
+    if unmatchable:
+        raise MalformedRule(
+            f"{path}: terminal {unmatchable[0]!r} is not one word token, and only word tokens are parsed"
+        )
     return Parser(grammar)
+
+
+def _is_word_token(text: str) -> bool:
+    """Whether ``text`` tokenizes to one word token whose lowercased form is ``text``."""
+    tokens = tokenize(text)
+    return len(tokens) == 1 and tokens[0].is_word and tokens[0].lowercased == text
 
 
 def build_resources(args) -> registry.Resources:

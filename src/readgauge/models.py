@@ -8,15 +8,20 @@ are deterministic given identical inputs.
 The SVM's C-grid search fits every C of an inner fold together, as one
 stack of weight matrices over the fold's shared rows; each slice's
 arithmetic is that of a separate fit, so the weights, and the chosen C,
-are bitwise equal to fitting each C alone.
+are bitwise equal to fitting each C alone. The inner folds run in forked
+processes, one contiguous share per usable CPU; each fold's scores are
+computed by the same code in fold order, so the output is the same on any
+CPU count.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
 from dataclasses import dataclass
 from itertools import zip_longest
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
@@ -255,6 +260,90 @@ def predict(model: LinearModel, X: np.ndarray, feature_names: Optional[Sequence[
     return scores.argmax(axis=1)
 
 
+def _fold_f1s(
+    X: np.ndarray, y: np.ndarray, test: np.ndarray, Cs: Sequence[float], n_classes: int
+) -> list[float]:
+    """Weighted F1 on the rows ``test`` of each C in ``Cs``, fit on the other rows.
+
+    The fit is one ``_svm_fit_stack`` call, scored with one stacked product.
+    """
+    y_train = y[~test]
+    fold_classes = _check_labels(y_train)
+    Xs, scaler = standardize(X[~test])
+    W, b = _svm_fit_stack(Xs, y_train, fold_classes, Cs)
+    preds = (scaler.transform(X[test]) @ W.transpose(0, 2, 1) + b[:, None, :]).argmax(axis=2)
+    return [f1_scores(list(y[test]), list(p), n_classes)[1] for p in preds]
+
+
+def _share_outcome(fn: Callable[..., Any], jobs: Sequence[tuple]) -> tuple[bool, Any]:
+    """``(True, results)`` of ``fn`` over ``jobs`` in order, or ``(False, exc)`` of the first that raised."""
+    try:
+        return True, [fn(*job) for job in jobs]
+    except Exception as exc:
+        return False, exc
+
+
+def _reap(pid: int, fd: int) -> tuple[bool, Any]:
+    """The outcome a forked share pickled into ``fd``, once ``pid`` has exited."""
+    with os.fdopen(fd, "rb") as pipe:
+        payload = pipe.read()
+    _pid, status = os.waitpid(pid, 0)
+    if not payload:
+        return False, ChildProcessError(f"worker {pid} exited with wait status {status} and no result")
+    return pickle.loads(payload)
+
+
+def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
+    """``[fn(*job) for job in jobs]``, with the jobs split across the usable CPUs.
+
+    Each CPU in ``os.sched_getaffinity(0)`` gets one contiguous share of the
+    jobs, and there are never more shares than jobs. Every share after the
+    first runs in a forked child, which pickles its outcome into a pipe; this
+    process runs the first share, then reads every pipe and waits for every
+    child, whatever raised. Results come back in job order from the same code
+    as the serial loop, which runs instead with one usable CPU or where
+    ``os.fork`` or ``os.sched_getaffinity`` is missing. A failure raises the
+    exception of the first failing job.
+    """
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    shares = min(len(os.sched_getaffinity(0)), len(jobs)) if can_fork else 1
+    if shares < 2:
+        return [fn(*job) for job in jobs]
+    bounds = [len(jobs) * i // shares for i in range(shares + 1)]
+    children: list[tuple[int, int]] = []
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            read_fd, write_fd = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_fd)
+                os.close(write_fd)
+                raise
+            if pid == 0:
+                # os._exit: the child must not unwind into the caller, run its
+                # atexit handlers or flush the output buffers it inherited.
+                code = 1
+                try:
+                    os.close(read_fd)
+                    payload = pickle.dumps(_share_outcome(fn, jobs[lo:hi]))
+                    with os.fdopen(write_fd, "wb") as pipe:
+                        pipe.write(payload)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(write_fd)
+            children.append((pid, read_fd))
+        results = [fn(*job) for job in jobs[: bounds[1]]]
+    finally:
+        replies = [_reap(pid, fd) for pid, fd in children]
+    for ok, value in replies:
+        if not ok:
+            raise value
+        results.extend(value)
+    return results
+
+
 def grid_search_c(
     X: np.ndarray,
     y: Sequence[int],
@@ -264,8 +353,7 @@ def grid_search_c(
 ) -> float:
     """C maximizing mean k-fold weighted F1; ties go to the smallest C.
 
-    Each inner fold fits the whole grid in one ``_svm_fit_stack`` call and
-    scores it with one stacked product.
+    The inner folds run through ``_map_forked``, one share per usable CPU.
     """
     if not grid:
         raise ValueError("empty grid")
@@ -276,17 +364,8 @@ def grid_search_c(
     assignments = kfold(ids, list(y), k=folds, seed=seed)
     fold_of = np.array([assignments[i] for i in ids])
     Cs = sorted(grid)
-    scores: list[list[float]] = [[] for _ in Cs]
-    for fold in range(folds):
-        test = fold_of == fold
-        y_train = y[~test]
-        fold_classes = _check_labels(y_train)
-        Xs, scaler = standardize(X[~test])
-        W, b = _svm_fit_stack(Xs, y_train, fold_classes, Cs)
-        preds = (scaler.transform(X[test]) @ W.transpose(0, 2, 1) + b[:, None, :]).argmax(axis=2)
-        for g, p in enumerate(preds):
-            scores[g].append(f1_scores(list(y[test]), list(p), n_classes)[1])
-    means = [mean(s) for s in scores]
+    fold_f1s = _map_forked(_fold_f1s, [(X, y, fold_of == fold, Cs, n_classes) for fold in range(folds)])
+    means = [mean([f1s[g] for f1s in fold_f1s]) for g in range(len(Cs))]
     return float(Cs[means.index(max(means))])
 
 

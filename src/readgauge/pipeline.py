@@ -78,8 +78,6 @@ class FeaturePipeline:
             props = word_type_proportions(doc, self.vocab)
             feats.update((f"wt_{w}", v) for w, v in props.items())
         if self.scores is not None:
-            if doc.doc_id not in self.scores:
-                raise MissingScore(f"no external score rows for doc {doc.doc_id!r}")
             feats = models.fuse(feats, self.scores[doc.doc_id])
         return feats
 
@@ -96,7 +94,13 @@ class FeaturePipeline:
 
         Columns follow the first document's feature order; every document must
         have exactly the same feature names, or ``FeatureMismatch`` is raised.
+        With external scores, a document that has none raises ``MissingScore``
+        before any document's features are extracted.
         """
+        if self.scores is not None:
+            missing = next((d.doc_id for d in docs if d.doc_id not in self.scores), None)
+            if missing is not None:
+                raise MissingScore(f"no external score rows for doc {missing!r}")
         rows = [self._doc_vector(d) for d in docs]
         if not rows:
             return np.zeros((0, 0)), ()

@@ -520,6 +520,18 @@ class TestInputBoundary:
         line = assert_one_error_line(capsys, "MalformedRule")
         assert "g.txt" in line and "'Hello'" in line
 
+    def test_grammar_terminal_not_a_word(self, small_corpus, tmp_path, capsys):
+        # Only word tokens are parsed, so the '.' of "The cat." could never match.
+        grammar = tmp_path / "g.txt"
+        grammar.write_text("S -> 'the' N '.' # 1.0\nN -> 'cat' # 1.0\n", encoding="utf-8")
+        code = main([
+            "extract", "--manifest", manifest_of(small_corpus), "--features", "syntactic",
+            "--grammar", str(grammar), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "MalformedRule")
+        assert "g.txt" in line and "'.'" in line
+
     def test_manifest_field_over_csv_limit(self, tmp_path, capsys):
         manifest = write_one_doc_corpus(tmp_path, b"Hi.")
         with open(manifest, "a", encoding="utf-8") as fh:

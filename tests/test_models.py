@@ -1,15 +1,21 @@
+import os
+
 import numpy as np
 import pytest
 
 from oracles import oracle_grid_search_c, oracle_train_svm
+from readgauge import models
 from readgauge.errors import (
     DegenerateLabels,
     FeatureMismatch,
     MissingFile,
     NameCollision,
 )
+from readgauge.evaluation import kfold
 from readgauge.models import (
     DEFAULT_C_GRID,
+    _fold_f1s,
+    _map_forked,
     _svm_fit_stack,
     fuse,
     grid_search_c,
@@ -22,6 +28,9 @@ from readgauge.models import (
     train_linear_svm,
     train_logistic,
 )
+from readgauge.pipeline import FeaturePipeline, PipelineConfig
+from readgauge.registry import Resources
+from readgauge.textcore import make_document
 
 
 def blobs(n_per_class=20, n_classes=3, n_features=4, seed=0, sep=6.0):
@@ -214,6 +223,93 @@ class TestStackedSvmMatchesSequential:
         # 26, 30 and 36 rows: the 26- and 36-row cases have unequal inner folds
         X, y = svm_case(case)
         assert grid_search_c(X, y, grid, folds=5, seed=3) == oracle_grid_search_c(X, y, grid, folds=5, seed=3)
+
+
+def use_cpus(monkeypatch, n):
+    """Make ``os.sched_getaffinity`` report ``n`` usable CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def fail_at(i, bad, parent):
+    """``i``, or ``ValueError(i)`` for ``i`` in ``bad``; a forked child dies silently at -1."""
+    if i == -1 and os.getpid() != parent:
+        os._exit(3)
+    if i in bad:
+        raise ValueError(i)
+    return i
+
+
+class TestForkedInnerFolds:
+    """Inner folds split into one share per usable CPU give the serial loop's bits."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 8])
+    def test_grid_search_c_on_any_cpu_count(self, monkeypatch, cpus):
+        use_cpus(monkeypatch, cpus)
+        if cpus == 1:
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked with one usable CPU"))
+        X, y = svm_case("three_classes")
+        got = grid_search_c(X, y, UNSORTED_GRID, folds=5, seed=3)
+        assert got == oracle_grid_search_c(X, y, UNSORTED_GRID, folds=5, seed=3)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("cpus", [2, 8])
+    def test_fold_scores_bitwise_in_fold_order(self, monkeypatch, cpus):
+        X, y = svm_case("two_classes")
+        fold_of = np.arange(len(y)) % 5
+        jobs = [(X, y, fold_of == fold, UNSORTED_GRID, 2) for fold in range(5)]
+        want = [_fold_f1s(*job) for job in jobs]
+        use_cpus(monkeypatch, cpus)
+        assert _map_forked(_fold_f1s, jobs) == want
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("bad, first", [({3, 4}, 3), ({1, 3}, 1)])
+    def test_first_failing_job_raises(self, monkeypatch, bad, first):
+        # Two CPUs and five jobs: this process runs jobs 0-1, a child jobs 2-4.
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(ValueError) as info:
+            _map_forked(fail_at, [(i, bad, os.getpid()) for i in range(5)])
+        assert info.value.args == (first,)
+        assert_no_child_left()
+
+    def test_child_without_result(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        with pytest.raises(ChildProcessError, match="no result"):
+            _map_forked(fail_at, [(i, set(), os.getpid()) for i in (0, 1, 2, -1)])
+        assert_no_child_left()
+
+    def test_one_class_fold_in_child_keeps_c_1(self, monkeypatch):
+        # 12 easy documents and 1 hard one: the inner fold holding out the hard
+        # document trains on one class, so the grid cannot be scored.
+        docs = [make_document(f"e{i}", f"The cat sat. It was fun. Word{i}.") for i in range(12)]
+        docs.append(make_document("h", "Notwithstanding unprecedented circumstances, it demonstrated nothing."))
+        labels = [0] * 12 + [1]
+        folds = kfold([str(i) for i in range(len(docs))], labels, k=5, seed=7)
+        # Two CPUs and five folds: this process runs folds 0-1, a child folds 2-4.
+        assert folds[str(len(docs) - 1)] >= 2
+        use_cpus(monkeypatch, 2)
+        raised, fitted_c = [], []
+
+        def spy_grid(*args, **kwargs):
+            try:
+                return grid_search_c(*args, **kwargs)
+            except DegenerateLabels as exc:
+                raised.append(exc)
+                raise
+
+        def spy_fit(X, y, C, names):
+            fitted_c.append(C)
+            return train_linear_svm(X, y, C, names)
+
+        monkeypatch.setattr(models, "grid_search_c", spy_grid)
+        monkeypatch.setattr(models, "train_linear_svm", spy_fit)
+        FeaturePipeline(PipelineConfig(feature_sets=["flesch"], model="svm"), Resources()).fit(docs, labels)
+        assert len(raised) == 1 and fitted_c == [1.0]
+        assert_no_child_left()
 
 
 class TestFuse:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import oracle_grid_search_c, oracle_train_svm
-from readgauge import models
+from readgauge import models, registry
 from readgauge.errors import DegenerateLabels, MissingResource, MissingScore
 from readgauge.evaluation import cross_validate
 from readgauge.pipeline import FeaturePipeline, PipelineConfig
@@ -148,6 +148,15 @@ class TestFusion:
         pipe = flesch_pipeline(scores=scores)
         with pytest.raises(MissingScore):
             pipe.fit(docs, labels)
+
+    def test_missing_score_raises_before_extraction(self, monkeypatch):
+        docs, labels = corpus()
+        scores = {d.doc_id: [("oracle", 0.0)] for d in docs[:-1]}
+        calls = []
+        monkeypatch.setattr(registry, "extract", lambda *args: calls.append(args))
+        with pytest.raises(MissingScore, match=repr(docs[-1].doc_id)):
+            flesch_pipeline(scores=scores).fit(docs, labels)
+        assert calls == []
 
 
 class TestClone:
