@@ -131,15 +131,13 @@ def _resource_path(explicit: Optional[str], filename: str) -> Optional[str]:
 
 
 def _load_parser(path: str) -> Parser:
-    """Parser over a grammar whose terminals are lowercase, as the parsed tokens are."""
+    """Parser over a grammar whose terminals are lowercase word tokens, as the parsed tokens are."""
     grammar = load_grammar(path)
-    cased = sorted(t for t in grammar.terminals if t != t.lower())
-    if cased:
-        raise MalformedRule(f"{path}: terminal {cased[0]!r} has capitals, but tokens are lowercased")
     unmatchable = sorted(t for t in grammar.terminals if not _is_word_token(t))
     if unmatchable:
         raise MalformedRule(
-            f"{path}: terminal {unmatchable[0]!r} is not one word token, and only word tokens are parsed"
+            f"{path}: terminal {unmatchable[0]!r} is not one lowercase word token,"
+            " and only lowercased word tokens are parsed"
         )
     return Parser(grammar)
 

@@ -283,12 +283,16 @@ def _share_outcome(fn: Callable[..., Any], jobs: Sequence[tuple]) -> tuple[bool,
         return False, exc
 
 
-def _reap(pid: int, fd: int) -> tuple[bool, Any]:
-    """The outcome a forked share pickled into ``fd``, once ``pid`` has exited."""
+def _wait(pid: int, fd: int) -> tuple[int, int, bytes]:
+    """``(pid, wait status, payload)`` of a forked share, once ``pid`` has exited."""
     with os.fdopen(fd, "rb") as pipe:
         payload = pipe.read()
-    _pid, status = os.waitpid(pid, 0)
-    if not payload:
+    return pid, os.waitpid(pid, 0)[1], payload
+
+
+def _decode(pid: int, status: int, payload: bytes) -> tuple[bool, Any]:
+    """The outcome a forked share pickled, or ``(False, ChildProcessError)`` if it did not exit cleanly."""
+    if status != 0:
         return False, ChildProcessError(f"worker {pid} exited with wait status {status} and no result")
     return pickle.loads(payload)
 
@@ -300,15 +304,15 @@ def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
     jobs, and there are never more shares than jobs. Every share after the
     first runs in a forked child, which pickles its outcome into a pipe; this
     process runs the first share, then reads every pipe and waits for every
-    child, whatever raised. Results come back in job order from the same code
-    as the serial loop, which runs instead with one usable CPU or where
-    ``os.fork`` or ``os.sched_getaffinity`` is missing. A failure raises the
-    exception of the first failing job.
+    child, whatever raised, and decodes the replies only after that. With one
+    usable CPU, or where ``os.fork`` or ``os.sched_getaffinity`` is missing,
+    there is one share and nothing is forked. Results come back in job order;
+    a failure raises the exception of the first failing job. A child that
+    dies without a result raises ``ChildProcessError``: a fault of the
+    machine, such as a killed process, not of the input.
     """
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    shares = min(len(os.sched_getaffinity(0)), len(jobs)) if can_fork else 1
-    if shares < 2:
-        return [fn(*job) for job in jobs]
+    shares = max(1, min(len(os.sched_getaffinity(0)), len(jobs))) if can_fork else 1
     bounds = [len(jobs) * i // shares for i in range(shares + 1)]
     children: list[tuple[int, int]] = []
     try:
@@ -336,8 +340,9 @@ def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
             children.append((pid, read_fd))
         results = [fn(*job) for job in jobs[: bounds[1]]]
     finally:
-        replies = [_reap(pid, fd) for pid, fd in children]
-    for ok, value in replies:
+        replies = [_wait(pid, fd) for pid, fd in children]
+    for reply in replies:
+        ok, value = _decode(*reply)
         if not ok:
             raise value
         results.extend(value)

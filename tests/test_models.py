@@ -1,4 +1,5 @@
 import os
+import pickle
 
 import numpy as np
 import pytest
@@ -280,6 +281,20 @@ class TestForkedInnerFolds:
         use_cpus(monkeypatch, 2)
         with pytest.raises(ChildProcessError, match="no result"):
             _map_forked(fail_at, [(i, set(), os.getpid()) for i in (0, 1, 2, -1)])
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("bad, error", [(set(), pickle.UnpicklingError), ({0}, ValueError)])
+    def test_every_child_reaped_before_a_reply_is_decoded(self, monkeypatch, bad, error):
+        # Four CPUs and four jobs: three children. A reply that fails to decode
+        # leaves no child behind, and does not hide a failure in this process.
+        use_cpus(monkeypatch, 4)
+
+        def undecodable(payload):
+            raise pickle.UnpicklingError("truncated")
+
+        monkeypatch.setattr(pickle, "loads", undecodable)
+        with pytest.raises(error):
+            _map_forked(fail_at, [(i, bad, os.getpid()) for i in range(4)])
         assert_no_child_left()
 
     def test_one_class_fold_in_child_keeps_c_1(self, monkeypatch):
