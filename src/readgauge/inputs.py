@@ -75,3 +75,19 @@ def csv_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tu
     except csv.Error as exc:
         raise MalformedRow(f"{path}: line {reader.line_num}: {exc}") from None
     return header, rows
+
+
+def word_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tuple[int, str, list[str]]]]:
+    """``csv_rows`` of a table keyed by its first column, a word: rows as ``(rownum, word, rest)``.
+
+    The word is stripped and lowercased; one that is then empty raises
+    ``MalformedRow`` naming the file and the row.
+    """
+    header, rows = csv_rows(path, width)
+    keyed = []
+    for rownum, row in rows:
+        word = row[0].strip().lower()
+        if not word:
+            raise MalformedRow(f"{path}: row {rownum}: empty word")
+        keyed.append((rownum, word, row[1:]))
+    return header, keyed

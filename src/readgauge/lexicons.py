@@ -6,7 +6,7 @@ import logging
 import math
 
 from .errors import MalformedRow
-from .inputs import csv_rows
+from .inputs import word_rows
 from .textcore import Document, mean, ratio
 
 log = logging.getLogger(__name__)
@@ -32,11 +32,11 @@ SENSE_FEATURE_NAMES = ("senses_per_word", "hypernyms_per_word", "hyponyms_per_wo
 def load_norms(path: str) -> dict[str, dict[str, float]]:
     """Load a norms CSV (header ``word,<rating-columns...>``).
 
-    Returns ``{column: {word: rating}}``. Duplicate words win last with a
-    logged warning; a non-numeric rating rejects the file naming the row, and
-    a column named twice rejects it naming the column.
+    Returns ``{column: {word: rating}}``. A duplicate word wins last with one
+    logged warning per row; an empty word or a non-numeric rating rejects the
+    file naming the row, and a column named twice rejects it naming the column.
     """
-    header, rows = csv_rows(path)
+    header, rows = word_rows(path)
     if not header or header[0].strip().lower() != "word":
         raise MalformedRow(f"{path}: first header column must be 'word'")
     columns = [c.strip() for c in header[1:]]
@@ -44,29 +44,29 @@ def load_norms(path: str) -> dict[str, dict[str, float]]:
         if col in columns[:i]:
             raise MalformedRow(f"{path}: header names column {col!r} twice")
     tables: dict[str, dict[str, float]] = {c: {} for c in columns}
-    for rownum, row in rows:
-        word = row[0].strip().lower()
-        for col, raw in zip(columns, row[1:]):
+    seen: set[str] = set()
+    for rownum, word, ratings in rows:
+        if word in seen:
+            log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
+        seen.add(word)
+        for col, raw in zip(columns, ratings):
             try:
                 value = float(raw)
             except ValueError:
                 raise MalformedRow(f"{path}: row {rownum}: non-numeric rating {raw!r}")
             if not math.isfinite(value):
                 raise MalformedRow(f"{path}: row {rownum}: non-finite rating {raw!r}")
-            if word in tables[col]:
-                log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
             tables[col][word] = value
     return tables
 
 
 def load_senses(path: str) -> dict[str, tuple[int, int, int]]:
     """Load a sense-count CSV as ``{word: (senses, hypernyms, hyponyms)}``."""
-    _, rows = csv_rows(path, width=4)
+    _, rows = word_rows(path, width=4)
     entries: dict[str, tuple[int, int, int]] = {}
-    for rownum, row in rows:
-        word = row[0].strip().lower()
+    for rownum, word, cells in rows:
         try:
-            counts = tuple(int(c) for c in row[1:])
+            counts = tuple(int(c) for c in cells)
         except ValueError:
             raise MalformedRow(f"{path}: row {rownum}: non-integer count")
         if any(c < 0 for c in counts):

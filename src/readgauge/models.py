@@ -11,7 +11,9 @@ arithmetic is that of a separate fit, so the weights, and the chosen C,
 are bitwise equal to fitting each C alone. The inner folds run in forked
 processes, one contiguous share per usable CPU; each fold's scores are
 computed by the same code in fold order, so the output is the same on any
-CPU count.
+CPU count. A share whose worker fails runs again in the main process, so a
+failing fold raises its own error and a killed worker costs time, not the
+run.
 """
 
 from __future__ import annotations
@@ -275,26 +277,11 @@ def _fold_f1s(
     return [f1_scores(list(y[test]), list(p), n_classes)[1] for p in preds]
 
 
-def _share_outcome(fn: Callable[..., Any], jobs: Sequence[tuple]) -> tuple[bool, Any]:
-    """``(True, results)`` of ``fn`` over ``jobs`` in order, or ``(False, exc)`` of the first that raised."""
-    try:
-        return True, [fn(*job) for job in jobs]
-    except Exception as exc:
-        return False, exc
-
-
-def _wait(pid: int, fd: int) -> tuple[int, int, bytes]:
-    """``(pid, wait status, payload)`` of a forked share, once ``pid`` has exited."""
+def _wait(pid: int, fd: int) -> tuple[int, bytes]:
+    """``(wait status, payload)`` of a forked share, once ``pid`` has exited."""
     with os.fdopen(fd, "rb") as pipe:
         payload = pipe.read()
-    return pid, os.waitpid(pid, 0)[1], payload
-
-
-def _decode(pid: int, status: int, payload: bytes) -> tuple[bool, Any]:
-    """The outcome a forked share pickled, or ``(False, ChildProcessError)`` if it did not exit cleanly."""
-    if status != 0:
-        return False, ChildProcessError(f"worker {pid} exited with wait status {status} and no result")
-    return pickle.loads(payload)
+    return os.waitpid(pid, 0)[1], payload
 
 
 def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
@@ -302,14 +289,15 @@ def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
 
     Each CPU in ``os.sched_getaffinity(0)`` gets one contiguous share of the
     jobs, and there are never more shares than jobs. Every share after the
-    first runs in a forked child, which pickles its outcome into a pipe; this
-    process runs the first share, then reads every pipe and waits for every
-    child, whatever raised, and decodes the replies only after that. With one
-    usable CPU, or where ``os.fork`` or ``os.sched_getaffinity`` is missing,
-    there is one share and nothing is forked. Results come back in job order;
-    a failure raises the exception of the first failing job. A child that
-    dies without a result raises ``ChildProcessError``: a fault of the
-    machine, such as a killed process, not of the input.
+    first runs in a forked child, which pickles its results into a pipe and
+    exits 0, or exits 1 if anything raised; this process runs the first
+    share, then reads every pipe and waits for every child, whatever raised,
+    and unpickles only after that. A share whose child did not exit 0 runs
+    again here: every job is a function of its arguments alone, so the first
+    failing job raises its own exception, and a killed child costs time but
+    not the results. With one usable CPU, or where ``os.fork`` or
+    ``os.sched_getaffinity`` is missing, there is one share and nothing is
+    forked. Results come back in job order.
     """
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     shares = max(1, min(len(os.sched_getaffinity(0)), len(jobs))) if can_fork else 1
@@ -330,7 +318,7 @@ def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
                 code = 1
                 try:
                     os.close(read_fd)
-                    payload = pickle.dumps(_share_outcome(fn, jobs[lo:hi]))
+                    payload = pickle.dumps([fn(*job) for job in jobs[lo:hi]])
                     with os.fdopen(write_fd, "wb") as pipe:
                         pipe.write(payload)
                     code = 0
@@ -341,11 +329,8 @@ def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
         results = [fn(*job) for job in jobs[: bounds[1]]]
     finally:
         replies = [_wait(pid, fd) for pid, fd in children]
-    for reply in replies:
-        ok, value = _decode(*reply)
-        if not ok:
-            raise value
-        results.extend(value)
+    for lo, hi, (status, payload) in zip(bounds[1:-1], bounds[2:], replies):
+        results.extend(pickle.loads(payload) if status == 0 else [fn(*job) for job in jobs[lo:hi]])
     return results
 
 
@@ -399,7 +384,7 @@ def save_model(model: LinearModel, path: str) -> None:
     write_atomic(path, lambda fh: json.dump(payload, fh))
 
 
-def load_model(path: str, expected_features: Optional[Sequence[str]] = None) -> LinearModel:
+def load_model(path: str) -> LinearModel:
     try:
         payload = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
@@ -409,7 +394,7 @@ def load_model(path: str, expected_features: Optional[Sequence[str]] = None) -> 
     if payload.get("format_version") != MODEL_FORMAT_VERSION:
         raise FeatureMismatch(f"{path}: unsupported model format {payload.get('format_version')}")
     try:
-        model = LinearModel(
+        return LinearModel(
             weights=np.asarray(payload["weights"], dtype=float),
             bias=np.asarray(payload["bias"], dtype=float),
             scaler=Scaler(
@@ -421,6 +406,3 @@ def load_model(path: str, expected_features: Optional[Sequence[str]] = None) -> 
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FeatureMismatch(f"{path}: malformed model ({type(exc).__name__}: {exc})") from None
-    if expected_features is not None and tuple(expected_features) != model.feature_names:
-        raise FeatureMismatch("feature names do not match the persisted model")
-    return model

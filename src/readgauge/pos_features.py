@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from .errors import MalformedRow, SupportViolation
-from .inputs import csv_rows
+from .inputs import word_rows
 from .textcore import Document, population_std, ratio
 
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
@@ -76,12 +76,12 @@ class TaggedDocument:
 
 def load_tag_lexicon(path: str) -> dict[str, str]:
     """Load a ``word,tag`` CSV mapping lowercased words to Penn tags."""
-    _, rows = csv_rows(path, width=2)
+    _, rows = word_rows(path, width=2)
     lexicon = {}
-    for rownum, (word, tag) in rows:
-        word, tag = word.strip().lower(), tag.strip()
-        if not word or not tag:
-            raise MalformedRow(f"{path}: row {rownum}: empty {'tag' if word else 'word'}")
+    for rownum, word, (tag,) in rows:
+        tag = tag.strip()
+        if not tag:
+            raise MalformedRow(f"{path}: row {rownum}: empty tag")
         lexicon[word] = tag
     return lexicon
 

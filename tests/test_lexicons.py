@@ -52,6 +52,17 @@ class TestLoadNorms:
         assert tables["aoa"] == {"dog": 9.0}
         assert any("duplicate" in r.message for r in caplog.records)
 
+    def test_duplicate_warns_once_per_row(self, tmp_path, caplog):
+        p = write(tmp_path / "n.csv", "word,aoa,img\ndog,3,5\ndog,9,1\n")
+        with caplog.at_level("WARNING"):
+            load_norms(p)
+        assert len(caplog.records) == 1
+
+    def test_empty_word_names_row(self, tmp_path):
+        p = write(tmp_path / "n.csv", "word,aoa\ndog,3\n ,5\n")
+        with pytest.raises(MalformedRow, match=r"n\.csv: row 3: empty word"):
+            load_norms(p)
+
     def test_lowercases_keys(self, tmp_path):
         p = write(tmp_path / "n.csv", "word,aoa\nDog,3\n")
         assert "dog" in load_norms(p)["aoa"]
@@ -114,4 +125,9 @@ class TestSenses:
     def test_wrong_width_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv", "word,senses,hypernyms,hyponyms\ndog,1,2\n")
         with pytest.raises(MalformedRow):
+            load_senses(p)
+
+    def test_empty_word_names_row(self, tmp_path):
+        p = write(tmp_path / "s.csv", "word,senses,hypernyms,hyponyms\n,1,2,3\n")
+        with pytest.raises(MalformedRow, match=r"s\.csv: row 2: empty word"):
             load_senses(p)

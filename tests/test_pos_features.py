@@ -43,6 +43,13 @@ class TestTagLexicon:
         with pytest.raises(MalformedRow):
             load_tag_lexicon(str(p))
 
+    @pytest.mark.parametrize("row, what", [(" ,NN", "word"), ("dog, ", "tag")])
+    def test_empty_field_names_row(self, tmp_path, row, what):
+        p = tmp_path / "lex.csv"
+        p.write_text(f"word,tag\ndog,NN\n{row}\n", encoding="utf-8")
+        with pytest.raises(MalformedRow, match=rf"lex\.csv: row 3: empty {what}"):
+            load_tag_lexicon(str(p))
+
 
 class TestTagger:
     LEX = {"the": "DT", "dog": "NN", "runs": "VBZ"}
