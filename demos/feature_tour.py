@@ -5,7 +5,6 @@ demo resources (grammar, tag lexicon, norms, sense counts) that ship inside
 the package, so no external data is needed.
 """
 
-from readgauge import make_document
 from readgauge.cky import Parser
 from readgauge.data_files import (
     GRAMMAR_FILE,
@@ -18,6 +17,7 @@ from readgauge.grammar import load_grammar
 from readgauge.lexicons import load_norms, load_senses
 from readgauge.pos_features import load_tag_lexicon
 from readgauge.registry import FEATURE_SETS, Resources, extract
+from readgauge.textcore import make_document
 
 import os
 

@@ -27,13 +27,13 @@ from .errors import (
     MissingFile,
     MissingResource,
     ReadgaugeError,
+    TooFewSamples,
 )
 from .evaluation import cross_validate, size_ablation
 from .grammar import load_grammar
 from .inputs import csv_rows, read_text, write_atomic
 from .labeling import as_classes, load_difficulty_order
 from .lexicons import load_norms, load_senses
-from .models import save_model
 from .pipeline import FEATURE_SET_NAMES, MODEL_KINDS, FeaturePipeline, PipelineConfig
 from .pos_features import load_tag_lexicon
 from .textcore import Document, make_document, tokenize
@@ -101,6 +101,8 @@ def ingest_corpus(manifest_path: str) -> list[Document]:
                 _float_field(row, column, manifest_path, line)
         label = _text_field(row, "class_name", manifest_path, line)
         docs.append(make_document(doc_id, text, label))
+    if not docs:
+        raise TooFewSamples(f"{manifest_path}: the manifest lists no documents")
     return docs
 
 
@@ -213,16 +215,15 @@ def cmd_extract(args) -> int:
     docs, resources, labels, _ = _load_corpus(args)
     pipe = FeaturePipeline(PipelineConfig(parse_feature_sets(args.features)), resources)
     pipe.fit_vocab(docs)
-    X, names = pipe.matrix(docs)
-    rows = [
-        [doc.doc_id, str(label)] + [_fmt(x) for x in values]
-        for doc, label, values in zip(docs, labels, X.tolist())
-    ]
+    values, names = pipe.rows(docs)
+    rows = [[doc.doc_id, str(label), *map(_fmt, row)] for doc, label, row in zip(docs, labels, values)]
     print(_write_csv(args.out, "features.csv", ["doc_id", "label", *names], rows))
     return 0
 
 
 def cmd_train(args) -> int:
+    from .models import save_model
+
     docs, resources, labels, _ = _load_corpus(args)
     pipe = _pipeline(args, args.features, resources, _fused_scores(args))
     pipe.fit(docs, labels)

@@ -1,16 +1,21 @@
-"""Cross-validation, F1 scoring and the training-set-size ablation."""
+"""Cross-validation, F1 scoring and the training-set-size ablation.
+
+The CLI imports this module for every command, so numpy is imported only by
+the functions that use it: ``EvalReport``'s statistics and ``confusion_matrix``.
+"""
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from itertools import chain, zip_longest
-from typing import Protocol, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Protocol, Sequence
 
 from .errors import BadSize, LengthMismatch, SizeTooLarge, TooFewSamples
 from .textcore import Document, mean, ratio
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -20,19 +25,26 @@ class EvalReport:
 
     @property
     def mean_weighted(self) -> float:
-        return float(np.mean(self.fold_weighted))
+        return _mean_sd(self.fold_weighted)[0]
 
     @property
     def mean_macro(self) -> float:
-        return float(np.mean(self.fold_macro))
+        return _mean_sd(self.fold_macro)[0]
 
     @property
     def sd_weighted(self) -> float:
-        return float(np.std(self.fold_weighted))  # population SD over folds
+        return _mean_sd(self.fold_weighted)[1]
 
     @property
     def sd_macro(self) -> float:
-        return float(np.std(self.fold_macro))
+        return _mean_sd(self.fold_macro)[1]
+
+
+def _mean_sd(folds: list[float]) -> tuple[float, float]:
+    """numpy's mean and population SD, whose pairwise sums differ from ``sum`` at 8 folds up."""
+    import numpy as np
+
+    return float(np.mean(folds)), float(np.std(folds))
 
 
 class Pipeline(Protocol):
@@ -68,6 +80,8 @@ def _class_pools(items: Sequence, labels: Sequence[int], seed: int) -> list[list
 
 
 def confusion_matrix(y_true: Sequence[int], y_pred: Sequence[int], n_classes: int) -> np.ndarray:
+    import numpy as np
+
     cm = np.zeros((n_classes, n_classes), dtype=int)
     for t, p in zip(y_true, y_pred):
         cm[t, p] += 1
@@ -143,6 +157,9 @@ def size_ablation(
     A stratified 20% split is held out once; each size trains on a prefix of
     one stratified shuffle of the remaining pool, so samples nest.
     """
+    if len(docs) < 5:
+        raise TooFewSamples("the ablation holds out a stratified 20% test split (5 folds)"
+                            f" and needs at least 5 documents, got {len(docs)}")
     doc_ids = [d.doc_id for d in docs]
     fold_of = kfold(doc_ids, labels, k=5, seed=seed)
     test_idx = [i for i, d in enumerate(docs) if fold_of[d.doc_id] == 0]

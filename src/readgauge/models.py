@@ -86,10 +86,10 @@ def standardize(X: np.ndarray) -> tuple[np.ndarray, Scaler]:
 
 def _check_labels(y: np.ndarray) -> int:
     """The class count ``max(y) + 1``; ``DegenerateLabels`` unless ``y`` has 2 classes or more."""
-    classes = np.unique(y)
-    if classes.size < 2:
+    classes = set(y.tolist())  # np.unique would import numpy.ma on first use
+    if len(classes) < 2:
         raise DegenerateLabels("need at least 2 classes")
-    return int(classes.max()) + 1
+    return max(classes) + 1
 
 
 def softmax_loss_grad(

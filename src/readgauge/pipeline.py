@@ -7,20 +7,25 @@ Fold-independent features come from ``registry`` and are cached per
 document (they are pure functions of the text); everything fold-dependent
 is fit inside ``fit`` from the training documents only: the word-type
 vocabulary and its ``wt_<word>`` columns, the scaler and the model.
+
+numpy and ``models`` are imported by the methods that build a matrix or a
+model, so ``extract``, which writes ``rows``, never pays numpy's import.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
-import numpy as np
-
-from . import models, registry
+from . import registry
 from .errors import DegenerateLabels, FeatureMismatch, MissingResource, MissingScore
-from .models import LinearModel
 from .textcore import Document, word_type_proportions
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .models import LinearModel
 
 MODEL_KINDS = ("svm", "logistic", "linear")
 
@@ -78,6 +83,8 @@ class FeaturePipeline:
             props = word_type_proportions(doc, self.vocab)
             feats.update((f"wt_{w}", v) for w, v in props.items())
         if self.scores is not None:
+            from . import models
+
             feats = models.fuse(feats, self.scores[doc.doc_id])
         return feats
 
@@ -89,8 +96,8 @@ class FeaturePipeline:
         if "word_types" in self.config.feature_sets:
             self.vocab = sorted({tok.lowercased for doc in docs for tok in doc.word_tokens})
 
-    def matrix(self, docs: Sequence[Document]) -> tuple[np.ndarray, tuple[str, ...]]:
-        """Feature matrix of ``docs`` (one row each) and its column names.
+    def rows(self, docs: Sequence[Document]) -> tuple[list[list[float]], tuple[str, ...]]:
+        """Feature rows of ``docs`` (one list each) and their column names.
 
         Columns follow the first document's feature order; every document must
         have exactly the same feature names, or ``FeatureMismatch`` is raised.
@@ -103,7 +110,7 @@ class FeaturePipeline:
                 raise MissingScore(f"no external score rows for doc {missing!r}")
         rows = [self._doc_vector(d) for d in docs]
         if not rows:
-            return np.zeros((0, 0)), ()
+            return [], ()
         names = tuple(rows[0])
         first = rows[0].keys()
         for doc, row in zip(docs, rows):
@@ -112,27 +119,36 @@ class FeaturePipeline:
                     f"doc {doc.doc_id!r} lacks {sorted(first - row.keys())} and adds "
                     f"{sorted(row.keys() - first)} to the features of doc {docs[0].doc_id!r}"
                 )
-        X = np.array([[r[n] for n in names] for r in rows], dtype=float)
-        return X, names
+        return [[r[n] for n in names] for r in rows], names
+
+    def matrix(self, docs: Sequence[Document]) -> tuple[np.ndarray, tuple[str, ...]]:
+        """``rows`` as a float matrix; (0, 0) when there are no documents."""
+        import numpy as np
+
+        rows, names = self.rows(docs)
+        return (np.array(rows, dtype=float) if rows else np.zeros((0, 0))), names
 
     # -- fit / predict ------------------------------------------------------
 
     def fit(self, docs: Sequence[Document], labels: Sequence[int]) -> None:
+        from . import models
+
         self.fit_vocab(docs)
         X, names = self.matrix(docs)
-        y = np.asarray(labels, dtype=int)
         if self.config.model == "logistic":
-            self.model = models.train_logistic(X, y, names)
+            self.model = models.train_logistic(X, labels, names)
         else:  # "linear" is the C=1 linear SVM without tuning
             c = 1.0
             # Under 10 samples are too few to cross-validate the grid meaningfully,
             # and an inner fold that trains on one class cannot score it at all.
-            if self.config.model == "svm" and len(y) >= 10:
+            if self.config.model == "svm" and len(labels) >= 10:
                 with contextlib.suppress(DegenerateLabels):
-                    c = models.grid_search_c(X, y, models.DEFAULT_C_GRID, seed=self.config.seed)
-            self.model = models.train_linear_svm(X, y, c, names)
+                    c = models.grid_search_c(X, labels, models.DEFAULT_C_GRID, seed=self.config.seed)
+            self.model = models.train_linear_svm(X, labels, c, names)
 
     def predict(self, docs: Sequence[Document]) -> list[int]:
+        from . import models
+
         assert self.model is not None, "fit before predict"
         X, names = self.matrix(docs)
         if X.size == 0 and not docs:

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import shutil
 import subprocess
@@ -609,6 +610,32 @@ class TestInputBoundary:
         assert "10" in line and "repeated" in line
         assert not (tmp_path / "a" / "ablation.csv").exists()
 
+    @pytest.mark.parametrize("command", ["extract", "train", "eval", "ablate"])
+    def test_header_only_manifest(self, tmp_path, capsys, command):
+        (tmp_path / "manifest.csv").write_text("doc_id,path,class_name,age_low,age_high\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(output_command(command, str(tmp_path), None, out)) == 1
+        line = assert_one_error_line(capsys, "TooFewSamples")
+        assert "manifest.csv" in line and "no documents" in line, line
+        assert not out.exists()
+
+    def test_ablate_under_five_docs_names_its_test_split(self, tmp_path, capsys):
+        rows = []
+        for i in range(4):
+            (tmp_path / f"{i}.txt").write_text("The cat sat on the mat.", encoding="utf-8")
+            rows.append(f"d{i},{i}.txt,{'ab'[i % 2]}\n")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text("doc_id,path,class_name\n" + "".join(rows), encoding="utf-8")
+        code = main([
+            "ablate", "--manifest", str(manifest), "--features", "flesch",
+            "--baseline-features", "word_types", "--model", "logistic",
+            "--sizes", "2", "--out", str(tmp_path / "a"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "TooFewSamples")
+        assert "20% test split (5 folds)" in line and "at least 5 documents, got 4" in line, line
+        assert "k=" not in line
+
 
 OUTPUT_COMMANDS = {
     "synth": "synth --docs 3",
@@ -745,13 +772,54 @@ class TestUsageErrors:
         assert capsys.readouterr().out.startswith("usage: readgauge eval")
 
 
-def run_under_hash_seed(hash_seed, argv):
-    """``readgauge argv`` in a fresh interpreter with ``PYTHONHASHSEED=hash_seed``."""
+def fresh_env(**overrides):
+    """This environment with the package's source directory on PYTHONPATH, plus ``overrides``."""
     src = os.path.dirname(os.path.dirname(readgauge.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONHASHSEED": str(hash_seed), "PYTHONPATH": path}
-    subprocess.run([sys.executable, "-m", "readgauge.cli", *argv], env=env, check=True,
-                   capture_output=True)
+    return {**os.environ, "PYTHONPATH": path, **overrides}
+
+
+def run_under_hash_seed(hash_seed, argv):
+    """``readgauge argv`` in a fresh interpreter with ``PYTHONHASHSEED=hash_seed``."""
+    subprocess.run([sys.executable, "-m", "readgauge.cli", *argv],
+                   env=fresh_env(PYTHONHASHSEED=str(hash_seed)), check=True, capture_output=True)
+
+
+# Runs ``cli.main`` on each argv in turn, then prints which numpy modules are loaded.
+IMPORTED_AFTER = """
+import json, sys
+from readgauge import cli
+for argv in json.loads(sys.argv[1]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps({name: name in sys.modules for name in ("numpy", "numpy.ma")}))
+"""
+
+
+def imported_after(*argvs):
+    """``{"numpy": loaded?, "numpy.ma": loaded?}`` after ``argvs`` ran in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", IMPORTED_AFTER, json.dumps(argvs)],
+                          env=fresh_env(), check=True, capture_output=True, text=True)
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestImportCost:
+    """numpy is imported by the commands that fit a model, and only by them."""
+
+    def test_synth_and_extract_import_no_numpy(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        imported = imported_after(
+            ["synth", "--out", str(corpus), "--docs", "30", "--seed", "7"],
+            ["extract", "--manifest", str(corpus / "manifest.csv"), "--features", "linguistic",
+             "--out", str(tmp_path / "x")],
+        )
+        assert imported == {"numpy": False, "numpy.ma": False}
+
+    def test_eval_never_loads_numpy_ma(self, small_corpus, tmp_path):
+        imported = imported_after([
+            "eval", "--manifest", manifest_of(small_corpus), "--features", "flesch",
+            "--model", "logistic", "--out", str(tmp_path / "e"),
+        ])
+        assert imported == {"numpy": True, "numpy.ma": False}
 
 
 class TestHashSeedIndependence:
