@@ -1,15 +1,16 @@
 """Command-line surface: synth, extract, train, eval, ablate, report.
 
 Every output file is written atomically; reruns with identical inputs
-and seeds produce byte-identical artifacts. Errors exit nonzero with a
-one-line machine-parsable message on stderr.
+and seeds produce byte-identical artifacts. On stderr come any
+``warning:`` lines, then at most one machine-parsable ``error:`` line, and
+an error exits nonzero.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import math
+import logging
 import os
 import sys
 from typing import Optional
@@ -31,7 +32,7 @@ from .errors import (
 )
 from .evaluation import cross_validate, size_ablation
 from .grammar import load_grammar
-from .inputs import csv_rows, read_text, write_atomic
+from .inputs import csv_rows, number_field, read_text, text_field, write_atomic
 from .labeling import as_classes, load_difficulty_order
 from .lexicons import load_norms, load_senses
 from .pipeline import FEATURE_SET_NAMES, MODEL_KINDS, FeaturePipeline, PipelineConfig
@@ -58,39 +59,21 @@ def _csv_records(path: str, columns: tuple[str, ...]) -> list[tuple[int, dict[st
     missing = [c for c in columns if c not in header]
     if missing:
         raise MalformedRow(f"{path}: missing column(s) {', '.join(missing)}")
-    return [(line, dict(zip(header, row))) for line, row in rows]
-
-
-def _float_field(row: dict, column: str, path: str, line: int) -> float:
-    """``row[column]`` as a finite float, else ``MalformedRow`` naming the line."""
-    try:
-        value = float(row[column])
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise MalformedRow(f"{path}: line {line}: {column} {row[column]!r} is not a finite number")
-
-
-def _text_field(row: dict, column: str, path: str, line: int) -> str:
-    """``row[column]`` stripped, else ``MalformedRow`` naming the line when it is empty."""
-    value = row[column].strip()
-    if not value:
-        raise MalformedRow(f"{path}: line {line}: {column} is empty")
-    return value
+    return [(rownum, dict(zip(header, row))) for rownum, row in rows]
 
 
 def ingest_corpus(manifest_path: str) -> list[Document]:
     """Load, segment and tokenize every document named by a manifest CSV."""
     base = os.path.dirname(os.path.abspath(manifest_path))
     docs: list[Document] = []
-    seen: set[str] = set()
-    for line, row in _csv_records(manifest_path, ("doc_id", "path", "class_name")):
-        doc_id = _text_field(row, "doc_id", manifest_path, line)
-        if doc_id in seen:
-            raise DuplicateId(doc_id)
-        seen.add(doc_id)
-        path = _text_field(row, "path", manifest_path, line)
+    first_row: dict[str, int] = {}
+    for rownum, row in _csv_records(manifest_path, ("doc_id", "path", "class_name")):
+        doc_id = text_field(manifest_path, rownum, "doc_id", row["doc_id"])
+        if doc_id in first_row:
+            raise DuplicateId(
+                f"{manifest_path}: row {rownum}: doc_id {doc_id!r} repeats row {first_row[doc_id]}")
+        first_row[doc_id] = rownum
+        path = text_field(manifest_path, rownum, "path", row["path"])
         full = path if os.path.isabs(path) else os.path.join(base, path)
         if not os.path.isfile(full):
             raise MissingDoc(full)
@@ -98,8 +81,8 @@ def ingest_corpus(manifest_path: str) -> list[Document]:
         # The optional age columns must be finite numbers; nothing reads them.
         for column in ("age_low", "age_high"):
             if row.get(column):
-                _float_field(row, column, manifest_path, line)
-        label = _text_field(row, "class_name", manifest_path, line)
+                number_field(manifest_path, rownum, column, row[column])
+        label = text_field(manifest_path, rownum, "class_name", row["class_name"])
         docs.append(make_document(doc_id, text, label))
     if not docs:
         raise TooFewSamples(f"{manifest_path}: the manifest lists no documents")
@@ -114,13 +97,16 @@ def load_scores(path: str) -> dict[str, list[tuple[str, float]]]:
     """
     scores: dict[str, dict[str, float]] = {}
     rank: dict[str, int] = {}
-    for line, row in _csv_records(path, ("doc_id", "score_name", "value")):
-        doc_id = _text_field(row, "doc_id", path, line)
-        name = _text_field(row, "score_name", path, line)
-        doc_scores = scores.setdefault(doc_id, {})
-        if name in doc_scores:
-            raise DuplicateId(f"duplicate score row {(doc_id, name)}")
-        doc_scores[name] = _float_field(row, "value", path, line)
+    first_row: dict[tuple[str, str], int] = {}
+    for rownum, row in _csv_records(path, ("doc_id", "score_name", "value")):
+        doc_id = text_field(path, rownum, "doc_id", row["doc_id"])
+        name = text_field(path, rownum, "score_name", row["score_name"])
+        if (doc_id, name) in first_row:
+            raise DuplicateId(
+                f"{path}: row {rownum}: doc_id {doc_id!r} and score_name {name!r}"
+                f" repeat row {first_row[doc_id, name]}")
+        first_row[doc_id, name] = rownum
+        scores.setdefault(doc_id, {})[name] = number_field(path, rownum, "value", row["value"])
         rank.setdefault(name, len(rank))
     return {d: sorted(s.items(), key=lambda item: rank[item[0]]) for d, s in scores.items()}
 
@@ -286,9 +272,9 @@ def cmd_report(args) -> int:
         header, rows = csv_rows(path)
         if not set(_SUMMARY_HEADER[:3]) <= set(header):
             continue
-        for line, values in rows:
+        for rownum, values in rows:
             row = dict(zip(header, values))
-            weighted = _float_field(row, "weighted_f1", path, line)
+            weighted = number_field(path, rownum, "weighted_f1", row["weighted_f1"])
             ranked.append((weighted, [row.get(c, "") for c in _SUMMARY_HEADER]))
     ranked.sort(key=lambda r: r[0])
     print(_write_csv(args.out, "report.csv", _SUMMARY_HEADER, [row for _, row in ranked]))
@@ -354,6 +340,10 @@ def build_arg_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    # Where no handler is configured, logging's last-resort handler writes each
+    # warning to the sys.stderr of that moment. No handler is added, and nothing
+    # logs above WARNING, so every line it prints is a warning.
+    logging.lastResort.setFormatter(logging.Formatter("warning: %(message)s"))
     try:
         # Unknown flags surface here, past the subparser: name the subcommand.
         args, extras = build_arg_parser().parse_known_args(argv)

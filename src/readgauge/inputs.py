@@ -4,7 +4,9 @@ Every file the toolkit reads goes through ``read_text`` or ``csv_rows``, so a
 missing file, bytes that are not UTF-8 and a CSV the ``csv`` module rejects
 all end in a ``ReadgaugeError`` naming the file, never in a traceback. Every
 output file goes through ``write_atomic``, so a path that cannot be written
-ends in ``BadOutput`` and never in a partial file.
+ends in ``BadOutput`` and never in a partial file. A field of a CSV row is
+checked by ``text_field`` or ``number_field``, and a word table's rows come
+from ``word_rows``, so each of their rules raises or warns in one place.
 """
 
 from __future__ import annotations
@@ -12,10 +14,14 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import logging
+import math
 import os
 from typing import Callable, Optional, TextIO
 
 from .errors import BadEncoding, BadOutput, MalformedRow, MissingFile
+
+log = logging.getLogger(__name__)
 
 
 def _decode(path: str, newline: Optional[str]) -> str:
@@ -77,17 +83,39 @@ def csv_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tu
     return header, rows
 
 
+def text_field(path: str, rownum: int, column: str, raw: str) -> str:
+    """``raw`` stripped, else ``MalformedRow`` naming the file, the row and the column."""
+    value = raw.strip()
+    if not value:
+        raise MalformedRow(f"{path}: row {rownum}: empty {column}")
+    return value
+
+
+def number_field(path: str, rownum: int, column: str, raw: str) -> float:
+    """``raw`` as a finite float, else ``MalformedRow`` naming the file, the row and the column."""
+    try:
+        value = float(raw)
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise MalformedRow(f"{path}: row {rownum}: {column} {raw!r} is not a finite number")
+
+
 def word_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tuple[int, str, list[str]]]]:
     """``csv_rows`` of a table keyed by its first column, a word: rows as ``(rownum, word, rest)``.
 
-    The word is stripped and lowercased; one that is then empty raises
-    ``MalformedRow`` naming the file and the row.
+    The word is stripped and lowercased; an empty one raises ``MalformedRow``
+    naming the file and the row. A word that repeats logs one warning per
+    repeated row, and the caller's last row wins.
     """
     header, rows = csv_rows(path, width)
     keyed = []
+    seen: set[str] = set()
     for rownum, row in rows:
-        word = row[0].strip().lower()
-        if not word:
-            raise MalformedRow(f"{path}: row {rownum}: empty word")
+        word = text_field(path, rownum, "word", row[0]).lower()
+        if word in seen:
+            log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
+        seen.add(word)
         keyed.append((rownum, word, row[1:]))
     return header, keyed

@@ -12,12 +12,12 @@ def as_classes(
     names: Sequence[str],
     ordering: Optional[Sequence[str]] = None,
 ) -> tuple[list[int], list[str]]:
-    """Map class names to ids, by ordering file or first-seen order."""
+    """Map class names to ids, by ordering file (else ``UnknownClass``) or first-seen order."""
     order = list(ordering) if ordering is not None else list(dict.fromkeys(names))
     index = {name: i for i, name in enumerate(order)}
     for name in names:
         if name not in index:
-            raise UnknownClass(name)
+            raise UnknownClass(f"class {name!r} is not in the difficulty order")
     return [index[name] for name in names], order
 
 

@@ -2,14 +2,9 @@
 
 from __future__ import annotations
 
-import logging
-import math
-
 from .errors import MalformedRow
-from .inputs import word_rows
+from .inputs import number_field, word_rows
 from .textcore import Document, mean, ratio
-
-log = logging.getLogger(__name__)
 
 # One norm-table column and one feature per name.
 PSYCHOLINGUISTIC_FEATURE_NAMES = [
@@ -32,9 +27,9 @@ SENSE_FEATURE_NAMES = ("senses_per_word", "hypernyms_per_word", "hyponyms_per_wo
 def load_norms(path: str) -> dict[str, dict[str, float]]:
     """Load a norms CSV (header ``word,<rating-columns...>``).
 
-    Returns ``{column: {word: rating}}``. A duplicate word wins last with one
-    logged warning per row; an empty word or a non-numeric rating rejects the
-    file naming the row, and a column named twice rejects it naming the column.
+    Returns ``{column: {word: rating}}``. A repeated word wins last (see
+    ``word_rows``); a rating that is not a finite number rejects the file
+    naming the row, and a column named twice rejects it naming the column.
     """
     header, rows = word_rows(path)
     if not header or header[0].strip().lower() != "word":
@@ -44,24 +39,14 @@ def load_norms(path: str) -> dict[str, dict[str, float]]:
         if col in columns[:i]:
             raise MalformedRow(f"{path}: header names column {col!r} twice")
     tables: dict[str, dict[str, float]] = {c: {} for c in columns}
-    seen: set[str] = set()
     for rownum, word, ratings in rows:
-        if word in seen:
-            log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
-        seen.add(word)
         for col, raw in zip(columns, ratings):
-            try:
-                value = float(raw)
-            except ValueError:
-                raise MalformedRow(f"{path}: row {rownum}: non-numeric rating {raw!r}")
-            if not math.isfinite(value):
-                raise MalformedRow(f"{path}: row {rownum}: non-finite rating {raw!r}")
-            tables[col][word] = value
+            tables[col][word] = number_field(path, rownum, col, raw)
     return tables
 
 
 def load_senses(path: str) -> dict[str, tuple[int, int, int]]:
-    """Load a sense-count CSV as ``{word: (senses, hypernyms, hyponyms)}``."""
+    """Load a sense-count CSV as ``{word: (senses, hypernyms, hyponyms)}``; a repeated word wins last."""
     _, rows = word_rows(path, width=4)
     entries: dict[str, tuple[int, int, int]] = {}
     for rownum, word, cells in rows:
@@ -71,8 +56,6 @@ def load_senses(path: str) -> dict[str, tuple[int, int, int]]:
             raise MalformedRow(f"{path}: row {rownum}: non-integer count")
         if any(c < 0 for c in counts):
             raise MalformedRow(f"{path}: row {rownum}: negative count")
-        if word in entries:
-            log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
         entries[word] = counts  # type: ignore[assignment]
     return entries
 

@@ -366,7 +366,7 @@ def fuse(
     fused = dict(linguistic)
     for name, value in external_scores:
         if name in fused:
-            raise NameCollision(name)
+            raise NameCollision(f"score name {name!r} is also a feature column")
         fused[name] = float(value)
     return fused
 

@@ -11,8 +11,8 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import MalformedRow, SupportViolation
-from .inputs import word_rows
+from .errors import SupportViolation
+from .inputs import text_field, word_rows
 from .textcore import Document, population_std, ratio
 
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
@@ -75,15 +75,9 @@ class TaggedDocument:
 
 
 def load_tag_lexicon(path: str) -> dict[str, str]:
-    """Load a ``word,tag`` CSV mapping lowercased words to Penn tags."""
+    """Load a ``word,tag`` CSV mapping lowercased words to Penn tags; a repeated word wins last."""
     _, rows = word_rows(path, width=2)
-    lexicon = {}
-    for rownum, word, (tag,) in rows:
-        tag = tag.strip()
-        if not tag:
-            raise MalformedRow(f"{path}: row {rownum}: empty tag")
-        lexicon[word] = tag
-    return lexicon
+    return {word: text_field(path, rownum, "tag", tag) for rownum, word, (tag,) in rows}
 
 
 def _suffix_tag(surface: str, position: int) -> str:

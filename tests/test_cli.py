@@ -16,6 +16,7 @@ from readgauge.cli import (
 )
 from readgauge.errors import (
     DuplicateId,
+    MalformedRow,
     MissingDoc,
     MissingFile,
     MissingResource,
@@ -84,7 +85,15 @@ class TestIngest:
             "doc_id,path,class_name,age_low,age_high\nd1,a.txt,x,,\nd1,a.txt,x,,\n",
             encoding="utf-8",
         )
-        with pytest.raises(DuplicateId):
+        with pytest.raises(DuplicateId, match=r"manifest\.csv: row 3: doc_id 'd1' repeats row 2"):
+            ingest_corpus(str(m))
+
+    def test_rows_count_records_not_lines(self, tmp_path):
+        # Row 2's quoted class_name spans two lines; the empty doc_id is on line 4, in row 3.
+        (tmp_path / "a.txt").write_text("Hi.", encoding="utf-8")
+        m = tmp_path / "manifest.csv"
+        m.write_text('doc_id,path,class_name\nd1,a.txt,"level\nzero"\n,a.txt,x\n', encoding="utf-8")
+        with pytest.raises(MalformedRow, match=r"manifest\.csv: row 3: empty doc_id$"):
             ingest_corpus(str(m))
 
     def test_missing_doc(self, tmp_path):
@@ -119,7 +128,9 @@ class TestLoadScores:
     def test_duplicate_pair(self, tmp_path):
         p = tmp_path / "scores.csv"
         p.write_text("doc_id,score_name,value\nd1,gpt,0.5\nd1,gpt,0.6\n", encoding="utf-8")
-        with pytest.raises(DuplicateId):
+        with pytest.raises(
+            DuplicateId, match=r"scores\.csv: row 3: doc_id 'd1' and score_name 'gpt' repeat row 2"
+        ):
             load_scores(str(p))
 
 
@@ -357,7 +368,7 @@ class TestInputErrors:
         assert code == 1
         line = assert_one_error_line(capsys, "MalformedRow")
         name = ["doc_id", "path", "class_name"][column]
-        assert "manifest.csv" in line and "line 3" in line and name in line
+        assert "manifest.csv" in line and "row 3" in line and name in line
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("row", ["d0,,1.5", ",oracle,1.5"])
@@ -373,7 +384,7 @@ class TestInputErrors:
         assert code == 1
         line = assert_one_error_line(capsys, "MalformedRow")
         name = "score_name" if row.startswith("d0") else "doc_id"
-        assert f"line {len(rows) + 2}" in line and name in line
+        assert f"row {len(rows) + 2}" in line and name in line
         assert not (tmp_path / "m").exists()
 
     def test_non_numeric_age(self, tmp_path, capsys):
@@ -387,7 +398,7 @@ class TestInputErrors:
             "--out", str(tmp_path / "x"),
         ])
         assert code == 1
-        assert "line 2" in assert_one_error_line(capsys, "MalformedRow")
+        assert "row 2" in assert_one_error_line(capsys, "MalformedRow")
 
     @pytest.mark.parametrize("value", ["high", "nan"])
     def test_non_numeric_score_value(self, small_corpus, tmp_path, capsys, value):
@@ -399,7 +410,7 @@ class TestInputErrors:
             "--scores", str(scores), "--out", str(tmp_path / "m"),
         ])
         assert code == 1
-        assert "line 2" in assert_one_error_line(capsys, "MalformedRow")
+        assert "row 2" in assert_one_error_line(capsys, "MalformedRow")
 
     def test_missing_difficulty_order_file(self, small_corpus, tmp_path, capsys):
         code = main([
@@ -587,7 +598,7 @@ class TestInputBoundary:
         code = main(["report", "--reports", str(reports), "--out", str(tmp_path / "r")])
         assert code == 1
         line = assert_one_error_line(capsys, "MalformedRow")
-        assert "b.csv" in line and "line 2" in line
+        assert "b.csv" in line and "row 2" in line
 
     @pytest.mark.parametrize("sizes", ["1,x", "", " , ", "-5", "0,10"])
     def test_ablate_bad_sizes(self, small_corpus, tmp_path, capsys, sizes):
@@ -745,6 +756,19 @@ class TestResources:
         assert_one_error_line(capsys, "MissingResource")
 
 
+# Codes the CLI cannot print: the registry catches NoParse, and the other three
+# guard library calls whose inputs the CLI never builds.
+CODES_THE_CLI_CANNOT_PRINT = {"NoParse", "EmptyKBest", "SupportViolation", "LengthMismatch"}
+
+
+def test_readme_names_every_error_code():
+    with open(os.path.join(os.path.dirname(__file__), os.pardir, "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    codes = {cls.__name__ for cls in ReadgaugeError.__subclasses__()}
+    assert CODES_THE_CLI_CANNOT_PRINT <= codes
+    assert sorted(c for c in codes - CODES_THE_CLI_CANNOT_PRINT if f"`{c}`" not in readme) == []
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv", [
         ["ablate", "--manifest", "m.csv", "--features", "flesch", "--out", "o"],
@@ -820,6 +844,43 @@ class TestImportCost:
             "--model", "logistic", "--out", str(tmp_path / "e"),
         ])
         assert imported == {"numpy": True, "numpy.ma": False}
+
+
+# Runs ``cli.main`` twice on one argv in one interpreter, the first time with stderr
+# redirected to a buffer that it then prints to stdout; exits with the sum of the codes.
+MAIN_TWICE = """
+import contextlib, io, json, sys
+from readgauge import cli
+argv = json.loads(sys.argv[1])
+first = io.StringIO()
+with contextlib.redirect_stderr(first):
+    code = cli.main(argv)
+print(first.getvalue(), end="")
+sys.exit(code + cli.main(argv))
+"""
+
+
+class TestStderrLines:
+    """Outside pytest, whose log capture keeps warnings off stderr: warning lines, then one error line."""
+
+    def test_warning_lines_then_one_error_line(self, tmp_path):
+        manifest = write_one_doc_corpus(tmp_path, b"Hello there.")
+        senses = tmp_path / "s.csv"
+        senses.write_text("word,senses,hypernyms,hyponyms\nhello,1,0,0\nhello,2,0,0\n", encoding="utf-8")
+        order = tmp_path / "order.txt"
+        order.write_text("y\n", encoding="utf-8")
+        argv = ["extract", "--manifest", manifest, "--features", "flesch", "--senses", str(senses),
+                "--difficulty-order", str(order), "--out", str(tmp_path / "x")]
+        proc = subprocess.run([sys.executable, "-c", MAIN_TWICE, json.dumps(argv)],
+                              env=fresh_env(), capture_output=True, text=True)
+        assert proc.returncode == 2
+        lines = [
+            f"warning: duplicate word 'hello' in {senses} (row 3), last wins",
+            "error: UnknownClass: class 'x' is not in the difficulty order",
+        ]
+        # Each call writes once, to the stderr in place at that call.
+        assert proc.stdout.splitlines() == lines
+        assert proc.stderr.splitlines() == lines
 
 
 class TestHashSeedIndependence:

@@ -1,7 +1,7 @@
 """Fuzzed input files through ``main``.
 
-Whatever the bytes of a manifest, a document, a score file, a difficulty
-order or a report directory, ``main`` returns 0 or 1 without raising, and a 1
+Whatever the bytes of a manifest, a document, a score file, a word table
+(norms, senses or tag lexicon), a difficulty order or a report directory, ``main`` returns 0 or 1 without raising, and a 1
 comes with exactly one ``error: <Code>: ...`` line on stderr.
 """
 
@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from readgauge.cli import main
+from readgauge.lexicons import PSYCHOLINGUISTIC_FEATURE_NAMES
 
 FUZZ = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -91,6 +92,21 @@ def two_doc_corpus(root):
 MANIFEST_ROWS = st.sampled_from(["d1,a.txt,x,5,7", "d2,b.txt,y,,", "d3,b.txt,x,1e3,9", "d1,a.txt,y,,"])
 SCORE_ROWS = st.sampled_from(["d1,gpt,0.5", "d2,gpt,1", "d1,bert,2", "d2,bert,-1e9", "d1,gpt,3"])
 SUMMARY_ROWS = st.sampled_from(["setA,0.5,0.4,0.0,0.0", "setB,1.0,1.0,,", "setC,0,0,0.1,0.1"])
+# Word-table rows: a word repeated in another case, an empty word, and bad values.
+NORMS_ROWS = st.tuples(st.sampled_from(["the", "cat", "The", "", " cat "]),
+                       st.sampled_from(["3", "x", "inf", "2.5", "", "-0"])).map(
+    lambda t: t[0] + f",{t[1]}" * len(PSYCHOLINGUISTIC_FEATURE_NAMES))
+SENSES_ROWS = st.sampled_from(["cat,-1,0,0", "Cat,2,2,2", "the,1,0,3", "cat,x,0,0", ",1,1,1", "the,1.5,0,0"])
+TAG_ROWS = st.sampled_from(["cat,", ",NN", "Cat,VB", "cat,NN", "the,DT", "sat, VBD "])
+
+
+def extract_with_table(flag, table, features):
+    """``extract`` of the two-document corpus with ``table`` as the file of ``--<flag>``."""
+    with tempfile.TemporaryDirectory() as root:
+        manifest = two_doc_corpus(root)
+        write_files(root, {"table.csv": table})
+        run(["extract", "--manifest", manifest, "--features", features,
+             f"--{flag}", os.path.join(root, "table.csv"), "--out", os.path.join(root, "out")])
 
 
 @FUZZ
@@ -120,6 +136,24 @@ def test_train_fuzzed_scores(scores):
         write_files(root, {"scores.csv": scores})
         run(["train", "--manifest", manifest, "--features", "flesch", "--model", "logistic",
              "--scores", os.path.join(root, "scores.csv"), "--out", os.path.join(root, "out")])
+
+
+@FUZZ
+@given(norms=csv_file("word," + ",".join(PSYCHOLINGUISTIC_FEATURE_NAMES), NORMS_ROWS))
+def test_extract_fuzzed_norms(norms):
+    extract_with_table("norms", norms, "psycholinguistic")
+
+
+@FUZZ
+@given(senses=csv_file("word,senses,hypernyms,hyponyms", SENSES_ROWS))
+def test_extract_fuzzed_senses(senses):
+    extract_with_table("senses", senses, "lexical_diversity")
+
+
+@FUZZ
+@given(lexicon=csv_file("word,tag", TAG_ROWS))
+def test_extract_fuzzed_tag_lexicon(lexicon):
+    extract_with_table("tag-lexicon", lexicon, "pos")
 
 
 @FUZZ

@@ -20,7 +20,7 @@ class TestAsClasses:
         assert order == ["A", "B", "C"]
 
     def test_unknown_class(self):
-        with pytest.raises(UnknownClass):
+        with pytest.raises(UnknownClass, match=r"class 'Z' is not in the difficulty order"):
             as_classes(labels("Z"), ordering=["A", "B"])
 
     def test_empty(self):

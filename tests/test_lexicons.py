@@ -29,9 +29,8 @@ class TestLoadNorms:
 
     def test_non_numeric_names_row(self, tmp_path):
         p = write(tmp_path / "n.csv", "word,aoa\ndog,3\ncat,abc\n")
-        with pytest.raises(MalformedRow) as err:
+        with pytest.raises(MalformedRow, match=r"n\.csv: row 3: aoa 'abc' is not a finite number"):
             load_norms(p)
-        assert "row 3" in str(err.value)
 
     def test_non_finite_rating_names_row(self, tmp_path):
         p = write(tmp_path / "n.csv", "word,aoa\ndog,3\ncat,inf\n")

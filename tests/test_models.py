@@ -112,6 +112,27 @@ class TestTraining:
         preds = predict(model, X)
         assert (preds == y).mean() >= 0.95
 
+    def test_logistic_step_halving(self, monkeypatch):
+        # Five copies of one noisy feature: a step of LOGISTIC_LR overshoots, so the step halves.
+        rng = np.random.default_rng(1)
+        x = rng.normal(size=(60, 1))
+        y = (x[:, 0] + rng.normal(size=60) > 0).astype(int)
+        X = np.repeat(x, 5, axis=1)
+        calls = []
+
+        def spy(*args):
+            calls.append(1)
+            return softmax_loss_grad(*args)
+
+        monkeypatch.setattr(models, "softmax_loss_grad", spy)
+        model = train_logistic(X, y)
+        # One call per epoch's accepted step plus the first; rejected steps add more.
+        assert len(calls) > models.LOGISTIC_EPOCHS + 1
+        Xs, _ = standardize(X)
+        zero = softmax_loss_grad(np.zeros_like(model.weights), np.zeros_like(model.bias), Xs, y, models.LOGISTIC_L2)
+        fitted = softmax_loss_grad(model.weights, model.bias, Xs, y, models.LOGISTIC_L2)
+        assert fitted[0] < zero[0]
+
     def test_svm_separable(self):
         X, y = blobs(seed=4)
         model = train_linear_svm(X, y, C=8.0)
@@ -345,7 +366,7 @@ class TestFuse:
         assert fused["gpt"] == 2.0
 
     def test_name_collision(self):
-        with pytest.raises(NameCollision):
+        with pytest.raises(NameCollision, match=r"score name 'f1' is also a feature column"):
             fuse({"f1": 1.0}, [("f1", 2.0)])
 
 

@@ -50,6 +50,15 @@ class TestTagLexicon:
         with pytest.raises(MalformedRow, match=rf"lex\.csv: row 3: empty {what}"):
             load_tag_lexicon(str(p))
 
+    def test_repeated_word_warns_and_last_wins(self, tmp_path, caplog):
+        p = tmp_path / "lex.csv"
+        p.write_text("word,tag\nhello,NN\nHello,VB\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            assert load_tag_lexicon(str(p)) == {"hello": "VB"}
+        assert [r.getMessage() for r in caplog.records] == [
+            f"duplicate word 'hello' in {p} (row 3), last wins"
+        ]
+
 
 class TestTagger:
     LEX = {"the": "DT", "dog": "NN", "runs": "VBZ"}
