@@ -131,8 +131,6 @@ class Parser:
     def kbest(self, tokens: list[str], k: int) -> KBestList:
         if k < 1:
             raise ValueError("k must be >= 1")
-        if not tokens:
-            raise NoParse("empty token sequence")
         oov = sorted({t for t in tokens if t not in self.grammar.terminals})
         if oov:
             raise NoParse(f"tokens not in grammar terminals: {oov}")

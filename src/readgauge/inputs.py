@@ -4,9 +4,9 @@ Every file the toolkit reads goes through ``read_text`` or ``csv_rows``, so a
 missing file, bytes that are not UTF-8 and a CSV the ``csv`` module rejects
 all end in a ``ReadgaugeError`` naming the file, never in a traceback. Every
 output file goes through ``write_atomic``, so a path that cannot be written
-ends in ``BadOutput`` and never in a partial file. A field of a CSV row is
-checked by ``text_field`` or ``number_field``, and a word table's rows come
-from ``word_rows``, so each of their rules raises or warns in one place.
+ends in ``BadOutput`` and never in a partial file. A CSV field is checked by
+``text_field``, ``number_field`` or ``count_field``, and a word table's rows
+come from ``word_rows``, so each of their rules raises or warns in one place.
 """
 
 from __future__ import annotations
@@ -92,14 +92,25 @@ def text_field(path: str, rownum: int, column: str, raw: str) -> str:
 
 
 def number_field(path: str, rownum: int, column: str, raw: str) -> float:
-    """``raw`` as a finite float, else ``MalformedRow`` naming the file, the row and the column."""
+    """``raw``, without ``_``, as a finite float, else ``MalformedRow`` naming the file, row and column."""
     try:
         value = float(raw)
-        if math.isfinite(value):
+        if math.isfinite(value) and "_" not in raw:
             return value
     except ValueError:
         pass
     raise MalformedRow(f"{path}: row {rownum}: {column} {raw!r} is not a finite number")
+
+
+def count_field(path: str, rownum: int, column: str, raw: str) -> int:
+    """``raw``, without ``_``, as an int >= 0, else ``MalformedRow`` naming the file, row and column."""
+    try:
+        value = int(raw)
+        if value >= 0 and "_" not in raw:
+            return value
+    except ValueError:
+        pass
+    raise MalformedRow(f"{path}: row {rownum}: {column} {raw!r} is not a non-negative integer")
 
 
 def word_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tuple[int, str, list[str]]]]:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import MalformedRow
-from .inputs import number_field, word_rows
+from .inputs import count_field, number_field, word_rows
 from .textcore import Document, mean, ratio
 
 # One norm-table column and one feature per name.
@@ -47,15 +47,13 @@ def load_norms(path: str) -> dict[str, dict[str, float]]:
 
 def load_senses(path: str) -> dict[str, tuple[int, int, int]]:
     """Load a sense-count CSV as ``{word: (senses, hypernyms, hyponyms)}``; a repeated word wins last."""
-    _, rows = word_rows(path, width=4)
+    header, rows = word_rows(path, width=4)
+    # Counts are read by position; a column the header does not name goes by its meaning.
+    named = [c.strip() for c in header[1:]]
+    columns = named + ["senses", "hypernyms", "hyponyms"][len(named):]
     entries: dict[str, tuple[int, int, int]] = {}
     for rownum, word, cells in rows:
-        try:
-            counts = tuple(int(c) for c in cells)
-        except ValueError:
-            raise MalformedRow(f"{path}: row {rownum}: non-integer count")
-        if any(c < 0 for c in counts):
-            raise MalformedRow(f"{path}: row {rownum}: negative count")
+        counts = tuple(count_field(path, rownum, col, raw) for col, raw in zip(columns, cells))
         entries[word] = counts  # type: ignore[assignment]
     return entries
 

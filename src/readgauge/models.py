@@ -11,9 +11,9 @@ arithmetic is that of a separate fit, so the weights, and the chosen C,
 are bitwise equal to fitting each C alone. The inner folds run in forked
 processes, one contiguous share per usable CPU; each fold's scores are
 computed by the same code in fold order, so the output is the same on any
-CPU count. A share whose worker fails runs again in the main process, so a
-failing fold raises its own error and a killed worker costs time, not the
-run.
+CPU count. A share whose worker fails, or cannot be forked, runs in the
+main process, so a failing fold raises its own error and a killed or
+unforked worker costs time, not the run.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateLabels, FeatureMismatch, NameCollision
+from .errors import DegenerateLabels, FeatureMismatch
 from .evaluation import f1_scores, kfold
 from .inputs import read_text, write_atomic
 from .textcore import mean
@@ -292,17 +292,18 @@ def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
     first runs in a forked child, which pickles its results into a pipe and
     exits 0, or exits 1 if anything raised; this process runs the first
     share, then reads every pipe and waits for every child, whatever raised,
-    and unpickles only after that. A share whose child did not exit 0 runs
-    again here: every job is a function of its arguments alone, so the first
-    failing job raises its own exception, and a killed child costs time but
-    not the results. With one usable CPU, or where ``os.fork`` or
-    ``os.sched_getaffinity`` is missing, there is one share and nothing is
-    forked. Results come back in job order.
+    and unpickles only after that. A share whose child did not exit 0, or
+    whose ``os.fork`` raised ``OSError``, is run here: every job is a
+    function of its arguments alone, so the first failing job raises its own
+    exception, and a killed or unforked child costs time, not the results.
+    With one usable CPU, or where ``os.fork`` or ``os.sched_getaffinity`` is
+    missing, there is one share and nothing is forked. Results come back in
+    job order.
     """
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
     shares = max(1, min(len(os.sched_getaffinity(0)), len(jobs))) if can_fork else 1
     bounds = [len(jobs) * i // shares for i in range(shares + 1)]
-    children: list[tuple[int, int]] = []
+    children: list[Optional[tuple[int, int]]] = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
             read_fd, write_fd = os.pipe()
@@ -311,7 +312,8 @@ def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
             except OSError:
                 os.close(read_fd)
                 os.close(write_fd)
-                raise
+                children.append(None)  # no child: the share runs here
+                continue
             if pid == 0:
                 # os._exit: the child must not unwind into the caller, run its
                 # atexit handlers or flush the output buffers it inherited.
@@ -328,7 +330,7 @@ def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
             children.append((pid, read_fd))
         results = [fn(*job) for job in jobs[: bounds[1]]]
     finally:
-        replies = [_wait(pid, fd) for pid, fd in children]
+        replies = [(1, b"") if child is None else _wait(*child) for child in children]
     for lo, hi, (status, payload) in zip(bounds[1:-1], bounds[2:], replies):
         results.extend(pickle.loads(payload) if status == 0 else [fn(*job) for job in jobs[lo:hi]])
     return results
@@ -357,18 +359,6 @@ def grid_search_c(
     fold_f1s = _map_forked(_fold_f1s, [(X, y, fold_of == fold, Cs, n_classes) for fold in range(folds)])
     means = [mean([f1s[g] for f1s in fold_f1s]) for g in range(len(Cs))]
     return float(Cs[means.index(max(means))])
-
-
-def fuse(
-    linguistic: dict[str, float], external_scores: Sequence[tuple[str, float]]
-) -> dict[str, float]:
-    """Append external score columns after the linguistic features."""
-    fused = dict(linguistic)
-    for name, value in external_scores:
-        if name in fused:
-            raise NameCollision(f"score name {name!r} is also a feature column")
-        fused[name] = float(value)
-    return fused
 
 
 def save_model(model: LinearModel, path: str) -> None:

@@ -8,6 +8,10 @@ document (they are pure functions of the text); everything fold-dependent
 is fit inside ``fit`` from the training documents only: the word-type
 vocabulary and its ``wt_<word>`` columns, the scaler and the model.
 
+Only ``rows`` assembles a row: registry features, ``wt_<word>``, then
+``--scores`` columns. Its rules raise here alone (``MissingScore``,
+``NameCollision``, ``FeatureMismatch``); ``cli.parse_feature_sets`` checks set names.
+
 numpy and ``models`` are imported by the methods that build a matrix or a
 model, so ``extract``, which writes ``rows``, never pays numpy's import.
 """
@@ -15,11 +19,12 @@ model, so ``extract``, which writes ``rows``, never pays numpy's import.
 from __future__ import annotations
 
 import contextlib
+import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import registry
-from .errors import DegenerateLabels, FeatureMismatch, MissingResource, MissingScore
+from .errors import DegenerateLabels, FeatureMismatch, MissingResource, MissingScore, NameCollision
 from .textcore import Document, word_type_proportions
 
 if TYPE_CHECKING:
@@ -46,7 +51,6 @@ class FeaturePipeline:
         config: PipelineConfig,
         resources: registry.Resources,
         scores: Optional[dict[str, list[tuple[str, float]]]] = None,
-        _static_cache: Optional[dict[str, dict[str, float]]] = None,
     ):
         if config.model not in MODEL_KINDS:
             raise ValueError(f"unknown model kind {config.model!r}")
@@ -56,14 +60,15 @@ class FeaturePipeline:
         static_sets = [s for s in config.feature_sets if s != "word_types"]
         self._static_set = registry.union_sets(static_sets) if static_sets else None
         # Shared across clones: features that do not depend on the fold.
-        self._static_cache = _static_cache if _static_cache is not None else {}
+        self._static_cache: dict[str, dict[str, float]] = {}
         self.vocab: Optional[list[str]] = None
         self.model: Optional[LinearModel] = None
 
     def clone(self) -> "FeaturePipeline":
-        return FeaturePipeline(
-            self.config, self.resources, self.scores, self._static_cache
-        )
+        twin = copy.copy(self)
+        twin.vocab = None
+        twin.model = None
+        return twin
 
     # -- feature assembly ---------------------------------------------------
 
@@ -83,9 +88,10 @@ class FeaturePipeline:
             props = word_type_proportions(doc, self.vocab)
             feats.update((f"wt_{w}", v) for w, v in props.items())
         if self.scores is not None:
-            from . import models
-
-            feats = models.fuse(feats, self.scores[doc.doc_id])
+            for name, value in self.scores[doc.doc_id]:
+                if name in feats:
+                    raise NameCollision(f"score name {name!r} is also a feature column")
+                feats[name] = float(value)
         return feats
 
     def fit_vocab(self, docs: Sequence[Document]) -> None:

@@ -3,7 +3,8 @@
 The registry is the single source of truth for fold-independent feature
 names and their order, so CSV headers, model files and fold reports never
 drift. Every member of a set resolves to one extractor group; groups are
-computed at most once per document. ``pipeline`` builds ``word_types``.
+computed at most once per document. ``pipeline`` builds ``word_types`` and
+the score columns; ``cli.parse_feature_sets`` alone checks set names.
 
 Every set but ``novel_syntactic`` is whole groups in a row: ``flesch`` and
 ``traditional`` are both the ``traditional`` group, ``lexical_diversity`` is
@@ -170,15 +171,9 @@ FEATURE_SETS: dict[str, FeatureSet] = {
 }
 
 
-def resolve_set(name: str) -> FeatureSet:
-    if name in FEATURE_SETS:
-        return FEATURE_SETS[name]
-    raise MissingResource(f"unknown feature set {name!r}")
-
-
 def union_sets(names: list[str]) -> FeatureSet:
     """Set-union with registry order: members ordered by first occurrence."""
-    members = (member for name in names for member in resolve_set(name).members)
+    members = (member for name in names for member in FEATURE_SETS[name].members)
     return FeatureSet("+".join(names), tuple(dict.fromkeys(members)))
 
 
@@ -187,9 +182,7 @@ def extract(doc: Document, feature_set: FeatureSet, resources: Resources) -> dic
     cache: dict[str, dict[str, float]] = {}
     out: dict[str, float] = {}
     for member in feature_set.members:
-        group = NAME_TO_GROUP.get(member)
-        if group is None:
-            raise MissingResource(f"no extractor registered for feature {member!r}")
+        group = NAME_TO_GROUP[member]
         if group not in cache:
             cache[group] = GROUPS[group][1](doc, resources)
         out[member] = cache[group][member]

@@ -70,6 +70,14 @@ class TestKbestExamples:
         with pytest.raises(NoParse):
             Parser(ab_grammar).kbest(["a"], 1)
 
+    def test_empty_sentence_raises(self, ab_grammar):
+        with pytest.raises(NoParse, match=r"no derivation for \[\] rooted at S"):
+            Parser(ab_grammar).kbest([], 10)
+
+    def test_k_below_one_raises(self, ab_grammar):
+        with pytest.raises(ValueError, match="k must be >= 1"):
+            Parser(ab_grammar).kbest(["a", "b"], 0)
+
     def test_k_truncates(self, catalan_grammar):
         kbest = Parser(catalan_grammar).kbest(["a", "a", "a"], 1)
         assert len(kbest.parses) == 1

@@ -400,6 +400,19 @@ class TestInputErrors:
         assert code == 1
         assert "row 2" in assert_one_error_line(capsys, "MalformedRow")
 
+    def test_digit_group_age(self, tmp_path, capsys):
+        (tmp_path / "a.txt").write_text("Hi.", encoding="utf-8")
+        manifest = tmp_path / "manifest.csv"
+        manifest.write_text(
+            "doc_id,path,class_name,age_low,age_high\nd1,a.txt,x,1_0,12\n", encoding="utf-8"
+        )
+        code = main([
+            "extract", "--manifest", str(manifest), "--features", "flesch",
+            "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert "row 2: age_low '1_0' is not a finite number" in assert_one_error_line(capsys, "MalformedRow")
+
     @pytest.mark.parametrize("value", ["high", "nan"])
     def test_non_numeric_score_value(self, small_corpus, tmp_path, capsys, value):
         scores = tmp_path / "scores.csv"

@@ -32,6 +32,11 @@ class TestLoadNorms:
         with pytest.raises(MalformedRow, match=r"n\.csv: row 3: aoa 'abc' is not a finite number"):
             load_norms(p)
 
+    def test_digit_group_rating_rejected(self, tmp_path):
+        p = write(tmp_path / "n.csv", "word,aoa\ndog,1_5\n")
+        with pytest.raises(MalformedRow, match=r"n\.csv: row 2: aoa '1_5' is not a finite number"):
+            load_norms(p)
+
     def test_non_finite_rating_names_row(self, tmp_path):
         p = write(tmp_path / "n.csv", "word,aoa\ndog,3\ncat,inf\n")
         with pytest.raises(MalformedRow) as err:
@@ -113,12 +118,23 @@ class TestSenses:
 
     def test_negative_count_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv", "word,senses,hypernyms,hyponyms\ndog,-1,0,0\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedRow, match=r"s\.csv: row 2: senses '-1' is not a non-negative integer"):
             load_senses(p)
 
     def test_non_integer_count_rejected(self, tmp_path):
         p = write(tmp_path / "s.csv", "word,senses,hypernyms,hyponyms\ndog,x,0,0\n")
-        with pytest.raises(MalformedRow):
+        with pytest.raises(MalformedRow, match=r"s\.csv: row 2: senses 'x' is not a non-negative integer"):
+            load_senses(p)
+
+    @pytest.mark.parametrize("raw", ["1_000", "1_0"])
+    def test_digit_group_count_rejected(self, tmp_path, raw):
+        p = write(tmp_path / "s.csv", f"word,senses,hypernyms,hyponyms\ndog,1,2,3\ncat,0,{raw},0\n")
+        with pytest.raises(MalformedRow, match=rf"s\.csv: row 3: hypernyms '{raw}' is not a non-negative integer"):
+            load_senses(p)
+
+    def test_short_header_names_count_by_meaning(self, tmp_path):
+        p = write(tmp_path / "s.csv", "word\ndog,1,2,-3\n")
+        with pytest.raises(MalformedRow, match=r"s\.csv: row 2: hyponyms '-3' is not a non-negative integer"):
             load_senses(p)
 
     def test_wrong_width_rejected(self, tmp_path):

@@ -1,3 +1,4 @@
+import errno
 import os
 import pickle
 
@@ -10,7 +11,6 @@ from readgauge.errors import (
     DegenerateLabels,
     FeatureMismatch,
     MissingFile,
-    NameCollision,
 )
 from readgauge.evaluation import kfold
 from readgauge.models import (
@@ -18,7 +18,6 @@ from readgauge.models import (
     _fold_f1s,
     _map_forked,
     _svm_fit_stack,
-    fuse,
     grid_search_c,
     hinge_loss_grad,
     load_model,
@@ -57,6 +56,12 @@ class TestStandardize:
         Xs, scaler = standardize(np.array([[5.0], [5.0], [5.0]]))
         assert Xs.tolist() == [[0.0], [0.0], [0.0]]
         assert scaler.std.tolist() == [0.0]
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 4)])
+    def test_zero_rows(self, shape):
+        Xs, scaler = standardize(np.zeros(shape))
+        assert Xs.shape == shape
+        assert scaler.mean.tolist() == scaler.std.tolist() == [0.0] * shape[1]
 
     def test_transform_reapplies(self):
         X = np.array([[1.0, 10.0], [3.0, 30.0], [5.0, 50.0]])
@@ -330,6 +335,30 @@ class TestForkedInnerFolds:
         with pytest.raises(error):
             _map_forked(fail_at, [(i, bad, os.getpid()) for i in range(4)])
 
+    @pytest.mark.parametrize("failing", ["every", "second"])
+    def test_failed_fork_runs_share_here(self, monkeypatch, failing):
+        # Three CPUs and five folds: this process runs fold 0, children folds
+        # 1-2 and 3-4. A fork that raises leaves no open pipe end behind.
+        X, y = svm_case("three_classes")
+        fold_of = np.arange(len(y)) % 5
+        jobs = [(X, y, fold_of == fold, UNSORTED_GRID, 3) for fold in range(5)]
+        use_cpus(monkeypatch, 1)
+        want = _map_forked(_fold_f1s, jobs)
+        real_fork, forks = os.fork, []
+
+        def fork():
+            forks.append(None)
+            if failing == "every" or len(forks) == 2:
+                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+            return real_fork()
+
+        use_cpus(monkeypatch, 3)
+        monkeypatch.setattr(os, "fork", fork)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        assert _map_forked(_fold_f1s, jobs) == want
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert len(forks) == 2
+
     def test_one_class_fold_in_child_keeps_c_1(self, monkeypatch):
         # 12 easy documents and 1 hard one: the inner fold holding out the hard
         # document trains on one class, so the grid cannot be scored.
@@ -357,17 +386,6 @@ class TestForkedInnerFolds:
         monkeypatch.setattr(models, "train_linear_svm", spy_fit)
         FeaturePipeline(PipelineConfig(feature_sets=["flesch"], model="svm"), Resources()).fit(docs, labels)
         assert len(raised) == 1 and fitted_c == [1.0]
-
-
-class TestFuse:
-    def test_appends_scores(self):
-        fused = fuse({"f1": 1.0}, [("gpt", 2.0), ("bert", 3.0)])
-        assert list(fused) == ["f1", "gpt", "bert"]
-        assert fused["gpt"] == 2.0
-
-    def test_name_collision(self):
-        with pytest.raises(NameCollision, match=r"score name 'f1' is also a feature column"):
-            fuse({"f1": 1.0}, [("f1", 2.0)])
 
 
 class TestPersistence:

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import oracle_grid_search_c, oracle_train_svm
 from readgauge import models, registry
-from readgauge.errors import DegenerateLabels, MissingResource, MissingScore
+from readgauge.errors import DegenerateLabels, MissingResource, MissingScore, NameCollision
 from readgauge.evaluation import cross_validate
 from readgauge.pipeline import FeaturePipeline, PipelineConfig
 from readgauge.registry import Resources
@@ -49,6 +49,13 @@ class TestFitPredict:
     def test_unknown_model_kind(self):
         with pytest.raises(ValueError):
             FeaturePipeline(PipelineConfig(feature_sets=["flesch"], model="tree"), Resources())
+
+    def test_no_documents(self):
+        docs, labels = corpus()
+        pipe = flesch_pipeline()
+        assert pipe.rows([]) == ([], ())
+        pipe.fit(docs, labels)
+        assert pipe.predict([]) == []
 
     def test_predict_before_fit_asserts(self):
         pipe = flesch_pipeline()
@@ -134,6 +141,17 @@ class TestWordTypes:
 
 
 class TestFusion:
+    def test_appends_scores(self):
+        doc = make_document("d", "The cat sat.")
+        rows, names = flesch_pipeline(scores={"d": [("gpt", 2.0), ("bert", 3.0)]}).rows([doc])
+        assert list(names) == [*registry.FEATURE_SETS["flesch"].members, "gpt", "bert"]
+        assert rows[0][names.index("gpt")] == 2.0
+
+    def test_name_collision(self):
+        doc = make_document("d", "The cat sat.")
+        with pytest.raises(NameCollision, match=r"score name 'flesch' is also a feature column"):
+            flesch_pipeline(scores={"d": [("flesch", 2.0)]}).rows([doc])
+
     def test_scores_appended_after_features(self):
         docs, labels = corpus()
         scores = {d.doc_id: [("oracle", float(l))] for d, l in zip(docs, labels)}

@@ -145,6 +145,9 @@ class TestKlDivergence:
         p = {"NN": 0.3, "VB": 0.7}
         assert kl_divergence(p, dict(p)) == pytest.approx(0.0)
 
+    def test_zero_p_outside_support_of_q(self):
+        assert kl_divergence({"NN": 1.0, "VB": 0.0}, {"NN": 1.0}) == 0.0
+
     def test_support_violation(self):
         with pytest.raises(SupportViolation):
             kl_divergence({"NN": 1.0}, {"VB": 1.0})

@@ -10,7 +10,6 @@ from readgauge.registry import (
     PSYCHOLINGUISTIC_FEATURE_NAMES,
     Resources,
     extract,
-    resolve_set,
     union_sets,
 )
 from readgauge.textcore import make_document
@@ -69,10 +68,6 @@ class TestRegistryShape:
 
 
 class TestResolveAndUnion:
-    def test_unknown_set(self):
-        with pytest.raises(MissingResource):
-            resolve_set("nope")
-
     def test_union_dedups_preserving_first_occurrence(self):
         fs = union_sets(["flesch", "linguistic"])
         assert fs.members[: len(FEATURE_SETS["flesch"].members)] == FEATURE_SETS["flesch"].members
