@@ -27,7 +27,7 @@ log = logging.getLogger(__name__)
 def _decode(path: str, newline: Optional[str]) -> str:
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except OSError:
         raise MissingFile(path) from None
     except UnicodeDecodeError as exc:

@@ -5,34 +5,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .textcore import Document, ratio
+from .textcore import Document, make_document, ratio
 
 MTLD_THRESHOLD = 0.72
 MTLD_MIN_TOKENS = 10
-
-TRADITIONAL_FEATURE_NAMES = [
-    "number_of_sentences",
-    "mean_sentence_length",
-    "number_of_characters",
-    "number_of_syllables",
-    "flesch_kincaid",
-    "flesch",
-    "automated_readability_index",
-    "coleman_liau",
-    "smog",
-    "fog",
-    "forcast",
-    "lix",
-]
-
-TTR_FEATURE_NAMES = [
-    "type_token_ratio",
-    "corrected_type_token_ratio",
-    "root_type_token_ratio",
-    "bilogarithmic_type_token_ratio",
-    "uber_index",
-    "mtld",
-]
 
 
 @dataclass(frozen=True)
@@ -111,6 +87,26 @@ def traditional_scores(stats: SurfaceStats) -> TraditionalScores:
     )
 
 
+def traditional_features(doc: Document) -> dict[str, float]:
+    """The traditional group's columns: four surface counts, then the formulas."""
+    stats = surface_stats(doc)
+    scores = traditional_scores(stats)
+    return {
+        "number_of_sentences": float(stats.n_sentences),
+        "mean_sentence_length": stats.words_per_sentence,
+        "number_of_characters": float(stats.n_characters),
+        "number_of_syllables": float(stats.n_syllables),
+        "flesch_kincaid": scores.flesch_kincaid,
+        "flesch": scores.flesch,
+        "automated_readability_index": scores.ari,
+        "coleman_liau": scores.coleman_liau,
+        "smog": scores.smog,
+        "fog": scores.fog,
+        "forcast": scores.forcast,
+        "lix": scores.lix,
+    }
+
+
 def ttr_measures(doc: Document) -> dict[str, float]:
     """Type-token ratio family plus MTLD over lowercased word surfaces."""
     tokens = [t.lowercased for t in doc.word_tokens]
@@ -162,3 +158,7 @@ def mtld(tokens: list[str]) -> float:
     forward = _mtld_factors(tokens)
     backward = _mtld_factors(list(reversed(tokens)))
     return ratio(n, (forward + backward) / 2.0)
+
+
+TRADITIONAL_FEATURE_NAMES = list(traditional_features(make_document("", "")))
+TTR_FEATURE_NAMES = list(ttr_measures(make_document("", "")))

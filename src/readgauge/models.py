@@ -293,9 +293,10 @@ def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
     exits 0, or exits 1 if anything raised; this process runs the first
     share, then reads every pipe and waits for every child, whatever raised,
     and unpickles only after that. A share whose child did not exit 0, or
-    whose ``os.fork`` raised ``OSError``, is run here: every job is a
-    function of its arguments alone, so the first failing job raises its own
-    exception, and a killed or unforked child costs time, not the results.
+    whose ``os.pipe`` or ``os.fork`` raised ``OSError``, is run here: every
+    job is a function of its arguments alone, so the first failing job raises
+    its own exception, and a killed or unstarted child costs time, not the
+    results.
     With one usable CPU, or where ``os.fork`` or ``os.sched_getaffinity`` is
     missing, there is one share and nothing is forked. Results come back in
     job order.
@@ -306,7 +307,11 @@ def _map_forked(fn: Callable[..., Any], jobs: Sequence[tuple]) -> list:
     children: list[Optional[tuple[int, int]]] = []
     try:
         for lo, hi in zip(bounds[1:-1], bounds[2:]):
-            read_fd, write_fd = os.pipe()
+            try:
+                read_fd, write_fd = os.pipe()
+            except OSError:
+                children.append(None)  # no pipe: the share runs here
+                continue
             try:
                 pid = os.fork()
             except OSError:

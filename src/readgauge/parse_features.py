@@ -18,36 +18,6 @@ CLAUSE_LABELS = {"S", "SBAR", "SINV", "SQ"}
 WH_PHRASE_LABELS = {"WHNP", "WHPP", "WHADVP", "WHADJP"}
 ROOT_WRAPPERS = {"ROOT", "TOP"}
 
-SYNTACTIC_FEATURE_NAMES = [
-    "mean_t_unit_length",
-    "mean_parse_tree_height",
-    "subtrees_per_sentence",
-    "sbars_per_sentence",
-    "nps_per_sentence",
-    "vps_per_sentence",
-    "pps_per_sentence",
-    "mean_np_size",
-    "mean_vp_size",
-    "mean_pp_size",
-    "whps_per_sentence",
-    "rrcs_per_sentence",
-    "conjps_per_sentence",
-    "clauses_per_sentence",
-    "t_units_per_sentence",
-    "clauses_per_t_unit",
-    "complex_t_unit_ratio",
-    "dependent_clauses_per_clause",
-    "dependent_clauses_per_t_unit",
-    "coordinate_clauses_per_clause",
-    "coordinate_clauses_per_t_unit",
-    "complex_nominals_per_clause",
-    "complex_nominals_per_t_unit",
-    "vps_per_t_unit",
-    "pd_2",
-    "pd_10",
-    "pdm_10",
-]
-
 
 def _top_logprobs(kbest: KBestList, x: int) -> list[float]:
     if not kbest.parses:
@@ -207,3 +177,6 @@ def syntactic_ratios(kbest_lists: list[KBestList], n_sentences: int) -> dict[str
         "pd_10": mean([parse_deviation(kb, 10) for kb in kbest_lists]),
         "pdm_10": mean([parse_deviation_from_max(kb, 10) for kb in kbest_lists]),
     }
+
+
+SYNTACTIC_FEATURE_NAMES = list(syntactic_ratios([], 0))

@@ -47,18 +47,6 @@ PER_WORD_TAGS = {
     "vbzs_per_word": {"VBZ"},
 }
 
-POS_FEATURE_NAMES = [
-    *PER_WORD_TAGS,
-    "adverb_variation",
-    "adjective_variation",
-    "modal_verb_variation",
-    "noun_variation",
-    "verb_variation_i",
-    "verb_variation_ii",
-    "squared_verb_variation_i",
-    "corrected_verb_variation_i",
-]
-
 
 @dataclass(frozen=True)
 class TaggedSentence:
@@ -142,6 +130,9 @@ def pos_ratios(tagged: TaggedDocument) -> dict[str, float]:
         "corrected_verb_variation_i": ratio(verbs, math.sqrt(2 * unique_verbs)),
     })
     return feats
+
+
+POS_FEATURE_NAMES = list(pos_ratios(TaggedDocument(sentences=())))
 
 
 def _distribution(pairs) -> dict[str, float]:

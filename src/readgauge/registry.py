@@ -1,10 +1,11 @@
 """Feature registry: named feature sets with stable ordering.
 
-The registry is the single source of truth for fold-independent feature
-names and their order, so CSV headers, model files and fold reports never
-drift. Every member of a set resolves to one extractor group; groups are
-computed at most once per document. ``pipeline`` builds ``word_types`` and
-the score columns; ``cli.parse_feature_sets`` alone checks set names.
+Each group's column names, in order, are the keys its function returns;
+the registry pairs them with that function in ``GROUPS`` and decides how
+groups form the named sets. Every member of a set resolves to one group;
+groups are computed at most once per document. ``pipeline`` builds
+``word_types`` and the score columns; ``cli.parse_feature_sets`` alone
+checks set names.
 
 Every set but ``novel_syntactic`` is whole groups in a row: ``flesch`` and
 ``traditional`` are both the ``traditional`` group, ``lexical_diversity`` is
@@ -54,22 +55,7 @@ class Resources:
 
 
 def _compute_traditional(doc: Document, res: Resources) -> dict[str, float]:
-    stats = lexical_features.surface_stats(doc)
-    scores = lexical_features.traditional_scores(stats)
-    return {
-        "number_of_sentences": float(stats.n_sentences),
-        "mean_sentence_length": stats.words_per_sentence,
-        "number_of_characters": float(stats.n_characters),
-        "number_of_syllables": float(stats.n_syllables),
-        "flesch_kincaid": scores.flesch_kincaid,
-        "flesch": scores.flesch,
-        "automated_readability_index": scores.ari,
-        "coleman_liau": scores.coleman_liau,
-        "smog": scores.smog,
-        "fog": scores.fog,
-        "forcast": scores.forcast,
-        "lix": scores.lix,
-    }
+    return lexical_features.traditional_features(doc)
 
 
 def _compute_pos(doc: Document, res: Resources) -> dict[str, float]:
@@ -83,10 +69,8 @@ def _compute_novel_pos(doc: Document, res: Resources) -> dict[str, float]:
     if res.tag_lexicon is None:
         raise MissingResource("posd_dev/pos_div require a tag lexicon")
     tagged = pos_features.tag(doc, res.tag_lexicon)
-    return {
-        "posd_dev": pos_features.pos_deviation(tagged),
-        "pos_div": pos_features.pos_divergence(tagged),
-    }
+    values = (pos_features.pos_deviation(tagged), pos_features.pos_divergence(tagged))
+    return dict(zip(NOVEL_POS_FEATURE_NAMES, values))
 
 
 def _compute_syntactic(doc: Document, res: Resources) -> dict[str, float]:

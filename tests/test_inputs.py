@@ -1,7 +1,12 @@
 import pytest
 
+from readgauge.cli import ingest_corpus, load_scores
 from readgauge.errors import BadEncoding, MalformedRow, MissingFile
+from readgauge.grammar import load_grammar
 from readgauge.inputs import csv_rows, read_text
+from readgauge.lexicons import load_norms
+
+BOM = "\ufeff".encode("utf-8")
 
 
 def write(path, data):
@@ -23,6 +28,26 @@ class TestReadText:
         with pytest.raises(BadEncoding) as err:
             read_text(path)
         assert path in str(err.value) and "byte 3" in str(err.value)
+
+    def test_one_byte_order_mark_dropped_offsets_kept(self, tmp_path):
+        assert read_text(write(tmp_path / "t.txt", BOM + BOM + b"a\n")) == "\ufeffa\n"
+        with pytest.raises(BadEncoding) as err:
+            read_text(write(tmp_path / "u.txt", BOM + b"ok\n\xff"))
+        assert "byte 6" in str(err.value)
+
+
+@pytest.mark.parametrize("load, name, data", [
+    (ingest_corpus, "m.csv", b"doc_id,path,class_name\nd1,d1.txt,easy\n"),
+    (load_scores, "s.csv", b"doc_id,score_name,value\nd1,bert,0.5\n"),
+    (load_norms, "n.csv", b"word,aoa\ncat,3.5\n"),
+    (load_grammar, "g.txt", b"S -> NP VP # 1.0\nNP -> 'dog' # 1.0\nVP -> 'runs' # 1.0\n"),
+])
+def test_byte_order_mark_reads_as_plain_file(tmp_path, load, name, data):
+    # Spreadsheet "CSV UTF-8" exports start with a byte-order mark.
+    write(tmp_path / "d1.txt", b"The cat sat.")
+    (tmp_path / "bom").mkdir()
+    write(tmp_path / "bom" / "d1.txt", b"The cat sat.")
+    assert load(write(tmp_path / "bom" / name, BOM + data)) == load(write(tmp_path / name, data))
 
 
 class TestCsvRows:

@@ -335,29 +335,40 @@ class TestForkedInnerFolds:
         with pytest.raises(error):
             _map_forked(fail_at, [(i, bad, os.getpid()) for i in range(4)])
 
-    @pytest.mark.parametrize("failing", ["every", "second"])
-    def test_failed_fork_runs_share_here(self, monkeypatch, failing):
+    @staticmethod
+    def assert_share_runs_here(monkeypatch, call, failing, error):
         # Three CPUs and five folds: this process runs fold 0, children folds
-        # 1-2 and 3-4. A fork that raises leaves no open pipe end behind.
+        # 1-2 and 3-4. A share whose os.<call> raises runs here, and leaves no
+        # open pipe end behind.
         X, y = svm_case("three_classes")
         fold_of = np.arange(len(y)) % 5
         jobs = [(X, y, fold_of == fold, UNSORTED_GRID, 3) for fold in range(5)]
         use_cpus(monkeypatch, 1)
         want = _map_forked(_fold_f1s, jobs)
-        real_fork, forks = os.fork, []
+        real, calls = getattr(os, call), []
 
-        def fork():
-            forks.append(None)
-            if failing == "every" or len(forks) == 2:
-                raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
-            return real_fork()
+        def fail_some():
+            calls.append(None)
+            if failing == "every" or len(calls) == 2:
+                raise error
+            return real()
 
         use_cpus(monkeypatch, 3)
-        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(os, call, fail_some)
         open_fds = len(os.listdir("/proc/self/fd"))
         assert _map_forked(_fold_f1s, jobs) == want
         assert len(os.listdir("/proc/self/fd")) == open_fds
-        assert len(forks) == 2
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("failing", ["every", "second"])
+    def test_failed_fork_runs_share_here(self, monkeypatch, failing):
+        error = BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+        self.assert_share_runs_here(monkeypatch, "fork", failing, error)
+
+    @pytest.mark.parametrize("failing", ["every", "second"])
+    def test_failed_pipe_runs_share_here(self, monkeypatch, failing):
+        error = OSError(errno.EMFILE, "Too many open files")
+        self.assert_share_runs_here(monkeypatch, "pipe", failing, error)
 
     def test_one_class_fold_in_child_keeps_c_1(self, monkeypatch):
         # 12 easy documents and 1 hard one: the inner fold holding out the hard

@@ -104,6 +104,14 @@ class TestExtract:
         assert list(out) == list(FEATURE_SETS["linguistic"].members)
         assert all(math.isfinite(v) for v in out.values())
 
+    @pytest.mark.parametrize("group", list(registry.GROUPS))
+    def test_group_returns_exactly_its_names_in_order(self, demo_resources, group):
+        # extract reads a group's output by member name, so an extra or
+        # misordered key would go unnoticed there.
+        names, fn = registry.GROUPS[group]
+        doc = make_document("d", "The dog runs. The cat sees a bird.")
+        assert list(fn(doc, demo_resources)) == list(names)
+
     def test_unparseable_sentences_zero_not_error(self, demo_resources):
         # nonsense words tag via suffixes but never parse: syntactic features 0
         doc = make_document("d", "Zzz qqq vvv.")
