@@ -52,8 +52,6 @@ class Pipeline(Protocol):
 
     def predict(self, docs: Sequence[Document]) -> list[int]: ...
 
-    def clone(self) -> "Pipeline": ...
-
 
 def kfold(doc_ids: Sequence[str], labels: Sequence[int], k: int, seed: int) -> dict[str, int]:
     """Deterministic, per-class balanced fold of each document id."""
@@ -114,10 +112,9 @@ def _fit_f1(
     pipeline: Pipeline, docs: Sequence[Document], labels: Sequence[int],
     train: Sequence[int], test: Sequence[int], n_classes: int,
 ) -> tuple[float, float]:
-    """Weighted and macro F1 on the ``test`` indices of a clone fit on the ``train`` indices."""
-    model = pipeline.clone()
-    model.fit([docs[i] for i in train], [labels[i] for i in train])
-    preds = model.predict([docs[i] for i in test])
+    """Weighted and macro F1 on the ``test`` indices of ``pipeline`` refit on the ``train`` indices."""
+    pipeline.fit([docs[i] for i in train], [labels[i] for i in train])
+    preds = pipeline.predict([docs[i] for i in test])
     _, weighted, macro = f1_scores([labels[i] for i in test], preds, n_classes)
     return weighted, macro
 
@@ -130,7 +127,7 @@ def cross_validate(
     k: int = 5,
     seed: int = 7,
 ) -> EvalReport:
-    """k-fold protocol: fit on the train folds only, score the held-out fold."""
+    """k-fold protocol: refit ``pipeline`` on the train folds only, score the held-out fold."""
     doc_ids = [d.doc_id for d in docs]
     fold_of = kfold(doc_ids, labels, k=k, seed=seed)
     report = EvalReport(fold_weighted=[], fold_macro=[])

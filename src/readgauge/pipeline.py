@@ -6,7 +6,8 @@ them, so the columns of a features CSV are the columns a model is fit on.
 Fold-independent features come from ``registry`` and are cached per
 document (they are pure functions of the text); everything fold-dependent
 is fit inside ``fit`` from the training documents only: the word-type
-vocabulary and its ``wt_<word>`` columns, the scaler and the model.
+vocabulary and its ``wt_<word>`` columns, the scaler and the model. Each
+``fit`` replaces them all, so evaluation refits one pipeline fold after fold.
 
 Only ``rows`` assembles a row: registry features, ``wt_<word>``, then
 ``--scores`` columns. Its rules raise here alone (``MissingScore``,
@@ -19,7 +20,6 @@ model, so ``extract``, which writes ``rows``, never pays numpy's import.
 from __future__ import annotations
 
 import contextlib
-import copy
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
@@ -59,16 +59,10 @@ class FeaturePipeline:
         self.scores = scores
         static_sets = [s for s in config.feature_sets if s != "word_types"]
         self._static_set = registry.union_sets(static_sets) if static_sets else None
-        # Shared across clones: features that do not depend on the fold.
+        # Kept across fits: features that do not depend on the fold.
         self._static_cache: dict[str, dict[str, float]] = {}
         self.vocab: Optional[list[str]] = None
         self.model: Optional[LinearModel] = None
-
-    def clone(self) -> "FeaturePipeline":
-        twin = copy.copy(self)
-        twin.vocab = None
-        twin.model = None
-        return twin
 
     # -- feature assembly ---------------------------------------------------
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import SupportViolation
 from .inputs import text_field, word_rows
-from .textcore import Document, population_std, ratio
+from .textcore import Document, population_std, ratio, sum_in_order
 
 NOUN_TAGS = {"NN", "NNS", "NNP", "NNPS"}
 ADJECTIVE_TAGS = {"JJ", "JJR", "JJS"}
@@ -164,7 +164,7 @@ def pos_deviation(tagged: TaggedDocument) -> float:
 def pos_divergence(tagged: TaggedDocument) -> float:
     """Mean per-sentence KL divergence from the document tag distribution."""
     q = _distribution(tagged.pairs)
-    total = sum(
+    total = sum_in_order(
         kl_divergence(_distribution(s.pairs), q)
         for s in tagged.sentences
         if s.pairs

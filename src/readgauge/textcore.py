@@ -9,11 +9,12 @@ the feature battery's zero rule and averages: ``ratio``, ``mean`` and
 from __future__ import annotations
 
 import math
+import operator
 import re
 import unicodedata
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Optional
+from functools import cached_property, lru_cache, reduce
+from typing import Iterable, Optional
 
 # Sentence-final abbreviations that must not trigger a split.
 ABBREVIATIONS = {
@@ -134,9 +135,15 @@ def ratio(num: float, den: float) -> float:
     return num / den if den else 0.0
 
 
+def sum_in_order(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0 on every interpreter; the builtin
+    ``sum`` compensates float rounding from Python 3.12 on."""
+    return reduce(operator.add, values, 0)
+
+
 def mean(values: list[float]) -> float:
-    """Arithmetic mean summed in input order, or 0.0 for an empty list."""
-    return ratio(sum(values), len(values))
+    """Arithmetic mean summed in input order on every interpreter, or 0.0 for an empty list."""
+    return ratio(sum_in_order(values), len(values))
 
 
 def population_std(values: list[float]) -> float:

@@ -139,9 +139,6 @@ class MajorityPipeline:
     def predict(self, docs):
         return [self.majority] * len(docs)
 
-    def clone(self):
-        return MajorityPipeline()
-
 
 def corpus(n=30, n_classes=3):
     docs = [make_document(f"d{i}", f"word {i}.") for i in range(n)]
@@ -166,19 +163,11 @@ class TestCrossValidate:
     def test_each_fold_fit_excludes_test_docs(self):
         docs, labels = corpus()
         pipe = MajorityPipeline()
-        spies = []
-
-        class SpyingPipeline(MajorityPipeline):
-            def clone(self):
-                spy = SpyingPipeline()
-                spies.append(spy)
-                return spy
-
-        cross_validate(SpyingPipeline(), docs, labels, 3, k=5, seed=7)
+        cross_validate(pipe, docs, labels, 3, k=5, seed=7)
         all_ids = {d.doc_id for d in docs}
         seen_test_sets = []
-        for spy in spies:
-            train_ids = set(spy.fit_calls[0])
+        for fit_ids in pipe.fit_calls:
+            train_ids = set(fit_ids)
             seen_test_sets.append(all_ids - train_ids)
         # the five held-out sets partition the corpus
         union = set()
@@ -203,35 +192,17 @@ class TestSizeAblation:
 
     def test_training_prefixes_nest(self):
         docs, labels = corpus(n=60)
-
-        spies = []
-
-        class SpyingPipeline(MajorityPipeline):
-            def clone(self):
-                spy = SpyingPipeline()
-                spies.append(spy)
-                return spy
-
-        size_ablation(SpyingPipeline(), SpyingPipeline(), [10, 20], docs, labels, 3, seed=7)
-        # clones alternate with/without per size; compare size-10 vs size-20 "with"
-        ids_10 = spies[0].fit_calls[0]
-        ids_20 = spies[2].fit_calls[0]
+        with_pipe = MajorityPipeline()
+        size_ablation(with_pipe, MajorityPipeline(), [10, 20], docs, labels, 3, seed=7)
+        ids_10, ids_20 = with_pipe.fit_calls
         assert ids_20[:10] == ids_10
 
     def test_prefixes_stay_stratified(self):
         docs, labels = corpus(n=60)
-
-        spies = []
-
-        class SpyingPipeline(MajorityPipeline):
-            def clone(self):
-                spy = SpyingPipeline()
-                spies.append(spy)
-                return spy
-
-        size_ablation(SpyingPipeline(), SpyingPipeline(), [12], docs, labels, 3, seed=7)
+        with_pipe = MajorityPipeline()
+        size_ablation(with_pipe, MajorityPipeline(), [12], docs, labels, 3, seed=7)
         by_id = {d.doc_id: l for d, l in zip(docs, labels)}
-        counts = Counter(by_id[i] for i in spies[0].fit_calls[0])
+        counts = Counter(by_id[i] for i in with_pipe.fit_calls[0])
         assert max(counts.values()) - min(counts.values()) <= 1
 
 
@@ -248,9 +219,6 @@ class _RecordingPipeline:
 
     def __init__(self, calls):
         self.calls = calls
-
-    def clone(self):
-        return _RecordingPipeline(self.calls)
 
     def fit(self, docs, labels):
         self.calls.append(("fit", [d.index for d in docs]))

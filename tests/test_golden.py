@@ -10,6 +10,7 @@ and why, and re-pin the table on purpose. Never update the table to get a
 pass.
 """
 
+import builtins
 import hashlib
 import shutil
 
@@ -172,3 +173,33 @@ def test_zero_branches_are_pinned(tmp_path):
                  "--features", "word_types+linguistic", "--out", str(out)]) == 0
     digest = hashlib.sha256((out / "features.csv").read_bytes()).hexdigest()
     assert digest == ZERO_BRANCHES_SHA256
+
+
+def neumaier_sum(iterable, /, start=0):
+    """``sum`` as CPython 3.12 computes it: exact floats are added with
+    Neumaier compensation; an int joins the float total as a double."""
+    total, compensation = start, 0.0
+    for x in iterable:
+        if type(total) is float and (type(x) is float or isinstance(x, int)):
+            x = float(x)
+            t = total + x
+            compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+            total = t
+        else:
+            if compensation:
+                total, compensation = total + compensation, 0.0
+            total = total + x
+    return total + compensation if compensation else total
+
+
+def test_features_do_not_depend_on_the_interpreters_sum(tmp_path, monkeypatch):
+    """Python 3.12's compensated float ``sum`` must leave the pinned bytes alone."""
+    assert neumaier_sum([0.1] * 10) == 1.0  # left to right: 0.9999999999999999
+    monkeypatch.setattr(builtins, "sum", neumaier_sum)
+    manifest = str(tmp_path / "corpus" / "manifest.csv")
+    assert main(["synth", "--out", str(tmp_path / "corpus"), "--docs", "60", "--seed", "7"]) == 0
+    assert main(["extract", "--manifest", manifest, *CORPUS_COMMANDS["extract"][1:],
+                 "--out", str(tmp_path / "extract")]) == 0
+    for name in ("corpus/manifest.csv", "extract/features.csv"):
+        digest = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_SHA256[name]

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from oracles import oracle_grid_search_c, oracle_train_svm
 from readgauge import models, registry
 from readgauge.errors import DegenerateLabels, MissingResource, MissingScore, NameCollision
-from readgauge.evaluation import cross_validate
+from readgauge.evaluation import cross_validate, size_ablation
 from readgauge.pipeline import FeaturePipeline, PipelineConfig
 from readgauge.registry import Resources
 from readgauge.textcore import make_document
@@ -177,20 +178,41 @@ class TestFusion:
         assert calls == []
 
 
-class TestClone:
-    def test_clone_shares_static_cache_not_fit_state(self):
+class TestRefitOnePipeline:
+    def test_refit_matches_a_fresh_fit(self):
         docs, labels = corpus()
-        pipe = flesch_pipeline()
+        cfg = PipelineConfig(feature_sets=["flesch", "word_types"], model="logistic")
+        pipe = FeaturePipeline(cfg, Resources())
+        pipe.fit(docs[:6], labels[:6])
         pipe.fit(docs, labels)
-        copy = pipe.clone()
-        assert copy.model is None
-        assert copy.vocab is None
-        assert copy._static_cache is pipe._static_cache
+        fresh = FeaturePipeline(cfg, Resources())
+        fresh.fit(docs, labels)
+        assert pipe.vocab == fresh.vocab
+        assert pipe.model.feature_names == fresh.model.feature_names
+        np.testing.assert_array_equal(pipe.model.weights, fresh.model.weights)
 
-    def test_clone_refit_matches(self):
+    def record_extracts(self, monkeypatch):
+        """The id of every document ``registry.extract`` is called on."""
+        calls = []
+        extract = registry.extract
+
+        def recording_extract(doc, *args):
+            calls.append(doc.doc_id)
+            return extract(doc, *args)
+
+        monkeypatch.setattr(registry, "extract", recording_extract)
+        return calls
+
+    def test_cross_validate_extracts_each_document_once(self, monkeypatch):
         docs, labels = corpus()
-        pipe = flesch_pipeline()
-        pipe.fit(docs, labels)
-        copy = pipe.clone()
-        copy.fit(docs, labels)
-        np.testing.assert_array_equal(copy.model.weights, pipe.model.weights)
+        calls = self.record_extracts(monkeypatch)
+        cross_validate(flesch_pipeline(), docs, labels, 2, k=3)
+        assert sorted(calls) == sorted(d.doc_id for d in docs)
+
+    def test_size_ablation_extracts_each_document_once(self, monkeypatch):
+        docs, labels = corpus()
+        calls = self.record_extracts(monkeypatch)
+        size_ablation(flesch_pipeline(), flesch_pipeline(), [6, 12], docs, labels, 2)
+        # Each pipeline's cache holds the 12-document prefix and the 5 test documents.
+        counts = Counter(calls)
+        assert len(counts) == 17 and set(counts.values()) == {2}
