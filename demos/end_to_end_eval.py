@@ -46,7 +46,8 @@ def main_demo():
          "--out", os.path.join(OUT, "eval_linguistic")])
     show(os.path.join(OUT, "eval_linguistic", "eval_summary.csv"))
 
-    # fuse an external per-document score (here: a noisy oracle)
+    # fuse an external per-document score (here: an exact oracle, each
+    # document's own class index, so the fused run shows the plumbing, not a gain)
     docs = ingest_corpus(manifest)
     labels, _ = as_classes([d.label for d in docs])
     scores_path = os.path.join(OUT, "scores.csv")

@@ -68,6 +68,10 @@ class FeatureMismatch(ReadgaugeError):
     pass
 
 
+class NonFiniteFeature(ReadgaugeError):
+    pass
+
+
 class LengthMismatch(ReadgaugeError):
     pass
 

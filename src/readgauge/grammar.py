@@ -139,6 +139,8 @@ def load_grammar(path: str) -> Grammar:
         if not rhs:
             raise MalformedRule(f"{path}:{lineno}: empty RHS")
         try:
+            if "_" in prob_str:  # float() reads digit groups, which no number may hold
+                raise ValueError(prob_str)
             prob = float(prob_str)
         except ValueError:
             raise MalformedRule(f"{path}:{lineno}: bad probability {prob_str!r}")

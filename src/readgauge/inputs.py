@@ -62,8 +62,9 @@ def csv_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tu
     """Header and non-blank rows of a UTF-8 CSV, each row with its number (the header is row 1).
 
     Every row must have ``width`` fields, or as many as the header when
-    ``width`` is None. An empty file, a row of another width and anything
-    the ``csv`` module rejects raise ``MalformedRow``.
+    ``width`` is None. An empty file, a header that names a column twice
+    (ignoring surrounding spaces), a row of another width and anything the
+    ``csv`` module rejects raise ``MalformedRow``.
     """
     reader = csv.reader(io.StringIO(_decode(path, ""), newline=""))
     rows: list[tuple[int, list[str]]] = []
@@ -71,6 +72,10 @@ def csv_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tu
         header = next(reader, None)
         if header is None:
             raise MalformedRow(f"{path}: empty file, header required")
+        names = [c.strip() for c in header]
+        for i, name in enumerate(names):
+            if name in names[:i]:
+                raise MalformedRow(f"{path}: header names column {name!r} twice")
         expected = len(header) if width is None else width
         for rownum, row in enumerate(reader, start=2):
             if not any(c.strip() for c in row):

@@ -29,15 +29,12 @@ def load_norms(path: str) -> dict[str, dict[str, float]]:
 
     Returns ``{column: {word: rating}}``. A repeated word wins last (see
     ``word_rows``); a rating that is not a finite number rejects the file
-    naming the row, and a column named twice rejects it naming the column.
+    naming the row, and ``csv_rows`` rejects a column named twice.
     """
     header, rows = word_rows(path)
     if not header or header[0].strip().lower() != "word":
         raise MalformedRow(f"{path}: first header column must be 'word'")
     columns = [c.strip() for c in header[1:]]
-    for i, col in enumerate(columns):
-        if col in columns[:i]:
-            raise MalformedRow(f"{path}: header names column {col!r} twice")
     tables: dict[str, dict[str, float]] = {c: {} for c in columns}
     for rownum, word, ratings in rows:
         for col, raw in zip(columns, ratings):

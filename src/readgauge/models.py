@@ -27,7 +27,7 @@ from typing import Any, Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import DegenerateLabels, FeatureMismatch
+from .errors import DegenerateLabels, FeatureMismatch, NonFiniteFeature
 from .evaluation import f1_scores, kfold
 from .inputs import read_text, write_atomic
 from .textcore import mean
@@ -71,15 +71,27 @@ SVM_LR = 1.0
 DEFAULT_C_GRID = tuple(2.0**k for k in range(-5, 16, 2))
 
 
-def standardize(X: np.ndarray) -> tuple[np.ndarray, Scaler]:
-    """Per-column (x - mean) / population std; constant columns map to 0."""
+def standardize(
+    X: np.ndarray, feature_names: Optional[Sequence[str]] = None
+) -> tuple[np.ndarray, Scaler]:
+    """Per-column (x - mean) / population std; constant columns map to 0.
+
+    A column whose mean or std overflows raises ``NonFiniteFeature`` naming
+    it (``f<i>`` without ``feature_names``), and numpy warns of nothing.
+    """
     X = np.asarray(X, dtype=float)
     if X.size == 0:
         shape = X.shape[1] if X.ndim == 2 else 0
         scaler = Scaler(mean=np.zeros(shape), std=np.zeros(shape))
         return X.copy(), scaler
-    mean = X.mean(axis=0)
-    std = X.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = X.mean(axis=0)
+        std = X.std(axis=0)
+    bad = np.flatnonzero(~(np.isfinite(mean) & np.isfinite(std)))
+    if bad.size:
+        i = int(bad[0])
+        name = feature_names[i] if feature_names else f"f{i}"
+        raise NonFiniteFeature(f"column {name!r} has mean {mean[i]} and std {std[i]} over {len(X)} rows")
     scaler = Scaler(mean=mean, std=std)
     return scaler.transform(X), scaler
 
@@ -208,7 +220,7 @@ def train_logistic(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     n_classes = _check_labels(y)
-    Xs, scaler = standardize(X)
+    Xs, scaler = standardize(X, feature_names)
     W = np.zeros((n_classes, X.shape[1]))
     b = np.zeros(n_classes)
     lr = LOGISTIC_LR
@@ -237,7 +249,7 @@ def train_linear_svm(
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=int)
     n_classes = _check_labels(y)
-    Xs, scaler = standardize(X)
+    Xs, scaler = standardize(X, feature_names)
     W, b = _svm_fit_stack(Xs, y, n_classes, [C])
     return _linear_model(W[0], b[0], scaler, feature_names)
 
@@ -274,7 +286,7 @@ def _fold_f1s(
     Xs, scaler = standardize(X[~test])
     W, b = _svm_fit_stack(Xs, y_train, fold_classes, Cs)
     preds = (scaler.transform(X[test]) @ W.transpose(0, 2, 1) + b[:, None, :]).argmax(axis=2)
-    return [f1_scores(list(y[test]), list(p), n_classes)[1] for p in preds]
+    return [f1_scores(y[test].tolist(), p, n_classes)[1] for p in preds.tolist()]
 
 
 def _wait(pid: int, fd: int) -> tuple[int, bytes]:

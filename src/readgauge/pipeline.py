@@ -142,6 +142,8 @@ class FeaturePipeline:
             # Under 10 samples are too few to cross-validate the grid meaningfully,
             # and an inner fold that trains on one class cannot score it at all.
             if self.config.model == "svm" and len(labels) >= 10:
+                # Name a column whose mean or std overflows before the grid's folds do.
+                models.standardize(X, names)
                 with contextlib.suppress(DegenerateLabels):
                     c = models.grid_search_c(X, labels, models.DEFAULT_C_GRID, seed=self.config.seed)
             self.model = models.train_linear_svm(X, labels, c, names)

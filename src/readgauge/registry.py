@@ -16,12 +16,13 @@ order, which is the column order of a ``linguistic`` features CSV.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Optional
 
 from . import lexical_features, parse_features, pos_features
 from .cky import Parser
-from .errors import MissingResource, NoParse
+from .errors import MissingResource, NoParse, NonFiniteFeature
 from .lexicons import (
     PSYCHOLINGUISTIC_FEATURE_NAMES,
     SENSE_FEATURE_NAMES,
@@ -162,12 +163,19 @@ def union_sets(names: list[str]) -> FeatureSet:
 
 
 def extract(doc: Document, feature_set: FeatureSet, resources: Resources) -> dict[str, float]:
-    """Compute every member of the set, in order, all values finite."""
+    """Compute every member of the set, in order, all values finite.
+
+    A group that computes a value that is not finite (finite norm ratings
+    whose sum overflows, say) raises ``NonFiniteFeature`` naming the column.
+    """
     cache: dict[str, dict[str, float]] = {}
     out: dict[str, float] = {}
     for member in feature_set.members:
         group = NAME_TO_GROUP[member]
         if group not in cache:
-            cache[group] = GROUPS[group][1](doc, resources)
+            cache[group] = values = GROUPS[group][1](doc, resources)
+            bad = next((name for name, v in values.items() if not math.isfinite(v)), None)
+            if bad is not None:
+                raise NonFiniteFeature(f"doc {doc.doc_id!r}: column {bad!r} is {values[bad]}")
         out[member] = cache[group][member]
     return out

@@ -461,6 +461,52 @@ class TestInputErrors:
         assert code == 1
         assert_one_error_line(capsys, "FeatureMismatch")
 
+    def test_manifest_column_named_twice(self, small_corpus, tmp_path, capsys):
+        # Read as "last one wins", the second class_name would label every document level_0.
+        rows = read_csv(manifest_of(small_corpus))
+        manifest = tmp_path / "manifest.csv"
+        with open(manifest, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(
+                [rows[0] + ["class_name"]]
+                + [[r[0], os.path.join(small_corpus, r[1]), *r[2:], "level_0"] for r in rows[1:]]
+            )
+        code = main(["extract", "--manifest", str(manifest), "--features", "flesch",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        line = assert_one_error_line(capsys, "MalformedRow")
+        assert line.endswith("manifest.csv: header names column 'class_name' twice")
+        assert not (tmp_path / "x").exists()
+
+    def test_score_column_named_twice(self, small_corpus, tmp_path, capsys):
+        scores = tmp_path / "scores.csv"
+        rows = [f"{doc_id},s1,{i},0" for i, doc_id in enumerate(doc_ids_of(small_corpus))]
+        scores.write_text("doc_id,score_name,value,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main([
+            "eval", "--manifest", manifest_of(small_corpus),
+            "--features", "flesch", "--model", "logistic", "--folds", "3",
+            "--scores", str(scores), "--out", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "MalformedRow")
+        assert line.endswith("scores.csv: header names column 'value' twice")
+        assert not (tmp_path / "e").exists()
+
+    @pytest.mark.parametrize("model", ["logistic", "svm"])
+    def test_scores_that_overflow_the_scaler(self, small_corpus, tmp_path, capsys, model):
+        # Each value is finite, but their mean or SD is not; numpy must not warn either.
+        scores = tmp_path / "scores.csv"
+        rows = [f"{doc_id},big,{-1e308 if i % 2 else 1e308}"
+                for i, doc_id in enumerate(doc_ids_of(small_corpus))]
+        scores.write_text("doc_id,score_name,value\n" + "\n".join(rows) + "\n", encoding="utf-8")
+        code = main([
+            "eval", "--manifest", manifest_of(small_corpus),
+            "--features", "flesch", "--model", model, "--folds", "3",
+            "--scores", str(scores), "--out", str(tmp_path / "e"),
+        ])
+        assert code == 1
+        assert "column 'big' has mean" in assert_one_error_line(capsys, "NonFiniteFeature")
+        assert not (tmp_path / "e").exists()
+
 
     def test_score_order_within_a_doc_does_not_matter(self, small_corpus, tmp_path):
         summaries = []
@@ -735,6 +781,20 @@ class TestResources:
         assert code == 1
         line = assert_one_error_line(capsys, "MalformedRow")
         assert "norms.csv" in line and "aoa_kuperman" in line
+
+    def test_norms_that_overflow_a_mean(self, small_corpus, data_dir, tmp_path, capsys):
+        rows = read_csv(os.path.join(data_dir, "norms.csv"))
+        norms = tmp_path / "norms.csv"
+        with open(norms, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([rows[0]] + [[row[0]] + ["1e308"] * (len(row) - 1) for row in rows[1:]])
+        code = main([
+            "extract", "--manifest", manifest_of(small_corpus), "--features", "psycholinguistic",
+            "--norms", str(norms), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        line = assert_one_error_line(capsys, "NonFiniteFeature")
+        assert line.endswith("column 'aoa_kuperman' is inf")
+        assert not (tmp_path / "x").exists()
 
     def test_data_env_overrides_tag_lexicon(self, small_corpus, data_dir, tmp_path, monkeypatch):
         copy = bundled_copy(data_dir, tmp_path)

@@ -90,11 +90,13 @@ def two_doc_corpus(root):
 
 
 MANIFEST_ROWS = st.sampled_from(["d1,a.txt,x,5,7", "d2,b.txt,y,,", "d3,b.txt,x,1e3,9", "d1,a.txt,y,,"])
-SCORE_ROWS = st.sampled_from(["d1,gpt,0.5", "d2,gpt,1", "d1,bert,2", "d2,bert,-1e9", "d1,gpt,3"])
+SCORE_ROWS = st.sampled_from(["d1,gpt,0.5", "d2,gpt,1", "d1,bert,2", "d2,bert,-1e9", "d1,gpt,3",
+                              "d1,gpt,1e308", "d2,gpt,-1e308"])
 SUMMARY_ROWS = st.sampled_from(["setA,0.5,0.4,0.0,0.0", "setB,1.0,1.0,,", "setC,0,0,0.1,0.1"])
-# Word-table rows: a word repeated in another case, an empty word, and bad values.
+# Word-table rows: a word repeated in another case, an empty word, bad values,
+# and finite values whose sums overflow.
 NORMS_ROWS = st.tuples(st.sampled_from(["the", "cat", "The", "", " cat "]),
-                       st.sampled_from(["3", "x", "inf", "2.5", "", "-0"])).map(
+                       st.sampled_from(["3", "x", "inf", "2.5", "", "-0", "1e308", "-1e308"])).map(
     lambda t: t[0] + f",{t[1]}" * len(PSYCHOLINGUISTIC_FEATURE_NAMES))
 SENSES_ROWS = st.sampled_from(["cat,-1,0,0", "Cat,2,2,2", "the,1,0,3", "cat,x,0,0", ",1,1,1", "the,1.5,0,0"])
 TAG_ROWS = st.sampled_from(["cat,", ",NN", "Cat,VB", "cat,NN", "the,DT", "sat, VBD "])

@@ -61,6 +61,12 @@ class TestLoadGrammar:
         with pytest.raises(MalformedRule):
             load_grammar(write_grammar(tmp_path, "S -> 'a' # 0.0\n"))
 
+    @pytest.mark.parametrize("prob", ["0.2_5", "1_0e-1"])
+    def test_digit_group_probability(self, tmp_path, prob):
+        # float() reads both (0.25 and 1.0); no number in an input file may hold "_".
+        with pytest.raises(MalformedRule, match=f"g.txt:1: bad probability '{prob}'"):
+            load_grammar(write_grammar(tmp_path, f"S -> 'a' # {prob}\n"))
+
     def test_probability_sum_enforced(self, tmp_path):
         with pytest.raises(BadProbabilitySum):
             load_grammar(write_grammar(tmp_path, "S -> 'a' # 0.5\nS -> 'b' # 0.4\n"))
