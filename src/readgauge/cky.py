@@ -78,7 +78,6 @@ def _collect_yield(node: Child, out: list[str]) -> None:
 @dataclass(frozen=True)
 class KBestList:
     parses: tuple[ParseTree, ...]
-    requested_k: int
 
 
 # A chart item is (neg_log_prob, serial, payload); payload is a ParseTree
@@ -177,7 +176,7 @@ class Parser:
         root = chart.get((0, n), {}).get(self.grammar.start, [])
         if not root:
             raise NoParse(f"no derivation for {tokens!r} rooted at {self.grammar.start}")
-        return KBestList(parses=tuple(item[2][0] for item in root[:k]), requested_k=k)
+        return KBestList(parses=tuple(item[2][0] for item in root[:k]))
 
 
 # Successor expansion can misorder mathematically equal candidates whose

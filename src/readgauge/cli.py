@@ -261,8 +261,8 @@ def cmd_report(args) -> int:
     so is the report this command writes, when ``--out`` is ``--reports``."""
     try:
         names = sorted(os.listdir(args.reports))
-    except OSError:
-        raise MissingFile(args.reports) from None
+    except OSError as exc:
+        raise MissingFile(f"{args.reports}: {exc.strerror}") from None
     own = os.path.realpath(os.path.join(args.out, "report.csv"))
     ranked = []
     for name in names:

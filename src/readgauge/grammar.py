@@ -63,17 +63,6 @@ def is_intermediate(symbol: str) -> bool:
 _RULE_RE = re.compile(r"^(\S+)\s*->\s*(.+?)\s*#\s*(\S+)\s*$")
 
 
-def validate(grammar: Grammar) -> None:
-    """Check that each LHS's probabilities sum to 1 within ``PROB_SUM_TOL``
-    (``load_grammar`` checks each rule's probability range and RHS)."""
-    sums: dict[str, float] = {}
-    for rule in grammar.rules:
-        sums[rule.lhs] = sums.get(rule.lhs, 0.0) + rule.prob
-    for lhs, total in sums.items():
-        if abs(total - 1.0) > PROB_SUM_TOL:
-            raise BadProbabilitySum(f"{lhs} (sum {total:.9f})")
-
-
 def make_grammar(rules: list[Rule], start: Optional[str] = None) -> Grammar:
     """Grammar over ``rules``; terminals are the RHS symbols that no rule expands."""
     lhs = {r.lhs for r in rules}
@@ -86,6 +75,10 @@ def _grammar(rules: list[Rule], start: Optional[str], terminals: set[str], where
     if not rules:
         raise MalformedRule(f"{where}no rules (no start symbol)")
     nonterminals = frozenset(r.lhs for r in rules)
+    # Binarization's own symbols start with '@', and parse trees splice them away.
+    reserved = sorted(s for s in nonterminals if is_intermediate(s))
+    if reserved:
+        raise MalformedRule(f"{where}nonterminals may not start with '@': {reserved}")
     clash = terminals & nonterminals
     if clash:
         raise MalformedRule(f"{where}symbols both quoted and used as LHS: {sorted(clash)}")
@@ -96,14 +89,19 @@ def _grammar(rules: list[Rule], start: Optional[str], terminals: set[str], where
     dead = {s for r in rules for s in r.rhs} - nonterminals - terminals
     if dead:
         raise MalformedRule(f"{where}unquoted RHS symbols with no rules: {sorted(dead)}")
-    grammar = Grammar(
+    # load_grammar checked each rule's probability range; here each LHS must sum to 1.
+    sums: dict[str, float] = {}
+    for rule in rules:
+        sums[rule.lhs] = sums.get(rule.lhs, 0.0) + rule.prob
+    for lhs, total in sums.items():
+        if abs(total - 1.0) > PROB_SUM_TOL:
+            raise BadProbabilitySum(f"{lhs} (sum {total:.9f})")
+    return Grammar(
         nonterminals=nonterminals,
         terminals=frozenset(terminals),
         start=start,
         rules=tuple(rules),
     )
-    validate(grammar)
-    return grammar
 
 
 def load_grammar(path: str) -> Grammar:

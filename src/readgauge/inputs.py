@@ -28,8 +28,8 @@ def _decode(path: str, newline: Optional[str]) -> str:
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
             return fh.read().removeprefix("\ufeff")
-    except OSError:
-        raise MissingFile(path) from None
+    except OSError as exc:
+        raise MissingFile(f"{path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
         raise BadEncoding(f"{path}: byte {exc.start}: {exc.reason}") from None
 
@@ -59,12 +59,12 @@ def write_atomic(path: str, write: Callable[[TextIO], None]) -> str:
 
 
 def csv_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tuple[int, list[str]]]]:
-    """Header and non-blank rows of a UTF-8 CSV, each row with its number (the header is row 1).
+    """Stripped header and non-blank rows of a UTF-8 CSV, each row with its number (the header is row 1).
 
     Every row must have ``width`` fields, or as many as the header when
-    ``width`` is None. An empty file, a header that names a column twice
-    (ignoring surrounding spaces), a row of another width and anything the
-    ``csv`` module rejects raise ``MalformedRow``.
+    ``width`` is None. An empty file, a header that names a column twice, a
+    row of another width and anything the ``csv`` module rejects raise
+    ``MalformedRow``.
     """
     reader = csv.reader(io.StringIO(_decode(path, ""), newline=""))
     rows: list[tuple[int, list[str]]] = []
@@ -72,9 +72,9 @@ def csv_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tu
         header = next(reader, None)
         if header is None:
             raise MalformedRow(f"{path}: empty file, header required")
-        names = [c.strip() for c in header]
-        for i, name in enumerate(names):
-            if name in names[:i]:
+        header = [c.strip() for c in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
                 raise MalformedRow(f"{path}: header names column {name!r} twice")
         expected = len(header) if width is None else width
         for rownum, row in enumerate(reader, start=2):

@@ -27,18 +27,6 @@ class SurfaceStats:
     polysyllabic_per_sentence: float
 
 
-@dataclass(frozen=True)
-class TraditionalScores:
-    flesch_kincaid: float
-    flesch: float
-    ari: float
-    coleman_liau: float
-    smog: float
-    fog: float
-    forcast: float
-    lix: float
-
-
 def surface_stats(doc: Document) -> SurfaceStats:
     """Counts and per-unit rates over word tokens; punctuation is excluded.
 
@@ -70,40 +58,32 @@ def surface_stats(doc: Document) -> SurfaceStats:
     )
 
 
-def traditional_scores(stats: SurfaceStats) -> TraditionalScores:
-    """The eight closed-form readability formulas over surface stats."""
+def traditional_scores(stats: SurfaceStats) -> dict[str, float]:
+    """The eight closed-form readability formulas, keyed by column name."""
     wps = stats.words_per_sentence
     spw = stats.syllables_per_word
     cpw = stats.characters_per_word
-    return TraditionalScores(
-        flesch_kincaid=11.8 * spw + 0.39 * wps - 15.59,
-        flesch=206.835 - 1.015 * wps - 84.6 * spw,
-        ari=4.71 * cpw + 0.5 * wps - 21.43,
-        coleman_liau=-29.5873 * stats.sentences_per_word + 5.8799 * cpw - 15.8007,
-        smog=1.0430 * math.sqrt(30.0 * stats.polysyllabic_per_sentence) + 3.1291,
-        fog=(wps + stats.prop_polysyllabic) * 0.4,
-        forcast=20.0 - 15.0 * stats.prop_monosyllabic,
-        lix=wps + stats.prop_long_words * 100.0,
-    )
+    return {
+        "flesch_kincaid": 11.8 * spw + 0.39 * wps - 15.59,
+        "flesch": 206.835 - 1.015 * wps - 84.6 * spw,
+        "automated_readability_index": 4.71 * cpw + 0.5 * wps - 21.43,
+        "coleman_liau": -29.5873 * stats.sentences_per_word + 5.8799 * cpw - 15.8007,
+        "smog": 1.0430 * math.sqrt(30.0 * stats.polysyllabic_per_sentence) + 3.1291,
+        "fog": (wps + stats.prop_polysyllabic) * 0.4,
+        "forcast": 20.0 - 15.0 * stats.prop_monosyllabic,
+        "lix": wps + stats.prop_long_words * 100.0,
+    }
 
 
 def traditional_features(doc: Document) -> dict[str, float]:
     """The traditional group's columns: four surface counts, then the formulas."""
     stats = surface_stats(doc)
-    scores = traditional_scores(stats)
     return {
         "number_of_sentences": float(stats.n_sentences),
         "mean_sentence_length": stats.words_per_sentence,
         "number_of_characters": float(stats.n_characters),
         "number_of_syllables": float(stats.n_syllables),
-        "flesch_kincaid": scores.flesch_kincaid,
-        "flesch": scores.flesch,
-        "automated_readability_index": scores.ari,
-        "coleman_liau": scores.coleman_liau,
-        "smog": scores.smog,
-        "fog": scores.fog,
-        "forcast": scores.forcast,
-        "lix": scores.lix,
+        **traditional_scores(stats),
     }
 
 

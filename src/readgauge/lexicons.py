@@ -32,9 +32,9 @@ def load_norms(path: str) -> dict[str, dict[str, float]]:
     naming the row, and ``csv_rows`` rejects a column named twice.
     """
     header, rows = word_rows(path)
-    if not header or header[0].strip().lower() != "word":
+    if not header or header[0].lower() != "word":
         raise MalformedRow(f"{path}: first header column must be 'word'")
-    columns = [c.strip() for c in header[1:]]
+    columns = header[1:]
     tables: dict[str, dict[str, float]] = {c: {} for c in columns}
     for rownum, word, ratings in rows:
         for col, raw in zip(columns, ratings):
@@ -46,7 +46,7 @@ def load_senses(path: str) -> dict[str, tuple[int, int, int]]:
     """Load a sense-count CSV as ``{word: (senses, hypernyms, hyponyms)}``; a repeated word wins last."""
     header, rows = word_rows(path, width=4)
     # Counts are read by position; a column the header does not name goes by its meaning.
-    named = [c.strip() for c in header[1:]]
+    named = header[1:]
     columns = named + ["senses", "hypernyms", "hyponyms"][len(named):]
     entries: dict[str, tuple[int, int, int]] = {}
     for rownum, word, cells in rows:

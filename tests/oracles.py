@@ -198,7 +198,7 @@ def oracle_kbest(parser: Parser, tokens: list[str], k: int) -> KBestList:
     root = chart[(0, n)].get(parser.grammar.start, [])
     if not root:
         raise NoParse(f"no derivation for {tokens!r} rooted at {parser.grammar.start}")
-    return KBestList(parses=tuple(item[2][0] for item in root[:k]), requested_k=k)
+    return KBestList(parses=tuple(item[2][0] for item in root[:k]))
 
 
 # -- tokenizer oracle (the index loops; tokens built by the library) ----------
@@ -228,7 +228,11 @@ def oracle_tokenize(sentence: str) -> list[Token]:
 
 
 def oracle_traditional(n_sentences, n_words, n_chars, n_syllables, n_poly, n_mono, n_long):
-    """The eight readability formulas from raw counts, zero on empty input."""
+    """The eight readability formulas from raw counts.
+
+    Each rate is zero over an empty denominator, so on empty input every
+    formula returns its intercept (``flesch`` 206.835, ``lix`` 0.0).
+    """
 
     def div(a, b):
         return a / b if b else 0.0

@@ -90,17 +90,7 @@ def test_acceptance_1_formula_oracles():
             stats.n_sentences, stats.n_words, stats.n_characters,
             stats.n_syllables, n_poly, n_mono, n_long,
         )
-        scores = traditional_scores(stats)
-        got = {
-            "flesch_kincaid": scores.flesch_kincaid,
-            "flesch": scores.flesch,
-            "automated_readability_index": scores.ari,
-            "coleman_liau": scores.coleman_liau,
-            "smog": scores.smog,
-            "fog": scores.fog,
-            "forcast": scores.forcast,
-            "lix": scores.lix,
-        }
+        got = traditional_scores(stats)
         for name, value in got.items():
             if abs(value - expected[name]) > 1e-9:
                 ok, detail = False, f"doc {i}: {name} {value} != {expected[name]}"
@@ -192,7 +182,7 @@ def test_acceptance_3_novel_feature_properties():
         parses = tuple(
             ParseTree(label="S", children=("a",), log_prob=lp) for lp in lps
         )
-        return KBestList(parses=parses, requested_k=max(len(parses), 1))
+        return KBestList(parses=parses)
 
     for i in range(10000):
         lps = sorted(

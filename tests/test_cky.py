@@ -82,11 +82,6 @@ class TestKbestExamples:
         kbest = Parser(catalan_grammar).kbest(["a", "a", "a"], 1)
         assert len(kbest.parses) == 1
 
-    def test_requested_k_recorded(self, catalan_grammar):
-        kbest = Parser(catalan_grammar).kbest(["a", "a"], 7)
-        assert kbest.requested_k == 7
-        assert len(kbest.parses) == 1
-
 
 class TestInvariants:
     def test_non_increasing_log_probs(self):
@@ -185,7 +180,6 @@ class TestInvariants:
                         no_parse += 1
                         continue
                     got = parser.kbest(toks, k)
-                    assert got.requested_k == expected.requested_k
                     assert [_nodes(t) for t in got.parses] == [_nodes(t) for t in expected.parses]
                     parsed += 1
         assert parsed > 500 and no_parse > 1000

@@ -477,6 +477,25 @@ class TestInputErrors:
         assert line.endswith("manifest.csv: header names column 'class_name' twice")
         assert not (tmp_path / "x").exists()
 
+    def test_manifest_header_names_with_spaces(self, small_corpus, tmp_path):
+        rows = read_csv(manifest_of(small_corpus))
+        body = [[r[0], os.path.join(small_corpus, r[1]), *r[2:]] for r in rows[1:]]
+        out = {}
+        for name, header in (("plain", rows[0]), ("spaced", [" " + c for c in rows[0]])):
+            manifest = tmp_path / f"{name}.csv"
+            with open(manifest, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([header] + body)
+            assert main(["extract", "--manifest", str(manifest), "--features", "flesch",
+                         "--out", str(tmp_path / name)]) == 0
+            out[name] = (tmp_path / name / "features.csv").read_bytes()
+        assert out["spaced"] == out["plain"]
+
+    def test_manifest_is_a_directory(self, tmp_path, capsys):
+        code = main(["extract", "--manifest", str(tmp_path), "--features", "flesch",
+                     "--out", str(tmp_path / "x")])
+        assert code == 1
+        assert assert_one_error_line(capsys, "MissingFile").endswith(f"{tmp_path}: Is a directory")
+
     def test_score_column_named_twice(self, small_corpus, tmp_path, capsys):
         scores = tmp_path / "scores.csv"
         rows = [f"{doc_id},s1,{i},0" for i, doc_id in enumerate(doc_ids_of(small_corpus))]

@@ -14,7 +14,6 @@ from readgauge.grammar import (
     is_intermediate,
     load_grammar,
     make_grammar,
-    validate,
 )
 
 
@@ -113,6 +112,14 @@ class TestLoadGrammar:
         with pytest.raises(MalformedRule) as err:
             load_grammar(path)
         assert f"{path}:4:" in str(err.value) and "line 1" in str(err.value)
+
+    def test_nonterminal_named_like_an_intermediate_rejected(self, tmp_path):
+        # Parse trees splice '@' symbols away, so '@A' would vanish from (S (@A a) (B b)).
+        text = "S -> @A B # 1.0\n@A -> 'a' # 1.0\nB -> 'b' # 1.0\n"
+        with pytest.raises(MalformedRule, match="'@A'"):
+            load_grammar(write_grammar(tmp_path, text))
+        with pytest.raises(MalformedRule, match="'@A'"):
+            make_grammar([rule("S", ["@A", "B"], 1.0), rule("@A", ["a"], 1.0), rule("B", ["b"], 1.0)])
 
 
 def rule(lhs, rhs, prob):
@@ -235,7 +242,7 @@ class TestBinarize:
 
 class TestValidate:
     def test_accepts_valid(self):
-        validate(make_grammar([rule("S", ["a"], 1.0)]))
+        assert make_grammar([rule("S", ["a"], 1.0)]).start == "S"
 
     def test_make_grammar_empty_rejected(self):
         with pytest.raises(MalformedRule):

@@ -64,33 +64,36 @@ class TestSurfaceStats:
 class TestTraditionalFormulas:
     def test_flesch_and_kincaid(self):
         scores = traditional_scores(stats())
-        assert scores.flesch == pytest.approx(206.835 - 1.015 * 10 - 84.6 * 1.5)
-        assert scores.flesch == pytest.approx(69.785)
-        assert scores.flesch_kincaid == pytest.approx(11.8 * 1.5 + 0.39 * 10 - 15.59)
-        assert scores.flesch_kincaid == pytest.approx(6.01)
+        assert scores["flesch"] == pytest.approx(206.835 - 1.015 * 10 - 84.6 * 1.5)
+        assert scores["flesch"] == pytest.approx(69.785)
+        assert scores["flesch_kincaid"] == pytest.approx(11.8 * 1.5 + 0.39 * 10 - 15.59)
+        assert scores["flesch_kincaid"] == pytest.approx(6.01)
 
     def test_ari_and_coleman_liau(self):
         scores = traditional_scores(stats())
-        assert scores.ari == pytest.approx(4.71 * 4 + 0.5 * 10 - 21.43)
-        assert scores.ari == pytest.approx(2.41)
-        assert scores.coleman_liau == pytest.approx(
+        assert scores["automated_readability_index"] == pytest.approx(4.71 * 4 + 0.5 * 10 - 21.43)
+        assert scores["automated_readability_index"] == pytest.approx(2.41)
+        assert scores["coleman_liau"] == pytest.approx(
             -29.5873 * 0.1 + 5.8799 * 4 - 15.8007
         )
-        assert scores.coleman_liau == pytest.approx(4.76017, abs=1e-4)
+        assert scores["coleman_liau"] == pytest.approx(4.76017, abs=1e-4)
 
     def test_smog(self):
         scores = traditional_scores(stats())
-        assert scores.smog == pytest.approx(1.0430 * math.sqrt(90.0) + 3.1291)
-        assert scores.smog == pytest.approx(13.0239, abs=1e-4)
+        assert scores["smog"] == pytest.approx(1.0430 * math.sqrt(90.0) + 3.1291)
+        assert scores["smog"] == pytest.approx(13.0239, abs=1e-4)
 
     def test_fog_forcast_lix(self):
         scores = traditional_scores(stats())
-        assert scores.fog == pytest.approx((10 + 0.1) * 0.4)
-        assert scores.fog == pytest.approx(4.04)
-        assert scores.forcast == pytest.approx(20.0 - 15.0 * 0.6)
-        assert scores.forcast == pytest.approx(11.0)
-        assert scores.lix == pytest.approx(10 + 0.2 * 100)
-        assert scores.lix == pytest.approx(30.0)
+        assert scores["fog"] == pytest.approx((10 + 0.1) * 0.4)
+        assert scores["fog"] == pytest.approx(4.04)
+        assert scores["forcast"] == pytest.approx(20.0 - 15.0 * 0.6)
+        assert scores["forcast"] == pytest.approx(11.0)
+        assert scores["lix"] == pytest.approx(10 + 0.2 * 100)
+        assert scores["lix"] == pytest.approx(30.0)
+
+    def test_keys_are_the_formula_columns(self):
+        assert list(traditional_scores(stats())) == TRADITIONAL_FEATURE_NAMES[4:]
 
     def test_zero_stats_all_finite(self):
         zero = stats(
@@ -101,8 +104,8 @@ class TestTraditionalFormulas:
             prop_long_words=0.0, polysyllabic_per_sentence=0.0,
         )
         scores = traditional_scores(zero)
-        for name in ("flesch", "flesch_kincaid", "ari", "coleman_liau", "smog", "fog", "forcast", "lix"):
-            assert math.isfinite(getattr(scores, name))
+        for value in scores.values():
+            assert math.isfinite(value)
 
     def test_matches_oracle_random(self):
         rng = random.Random(3)
@@ -130,14 +133,8 @@ class TestTraditionalFormulas:
             )
             scores = traditional_scores(s)
             expected = oracle_traditional(n_sent, n_words, n_chars, n_syll, n_poly, n_mono, n_long)
-            assert scores.flesch == pytest.approx(expected["flesch"], abs=1e-9)
-            assert scores.flesch_kincaid == pytest.approx(expected["flesch_kincaid"], abs=1e-9)
-            assert scores.ari == pytest.approx(expected["automated_readability_index"], abs=1e-9)
-            assert scores.coleman_liau == pytest.approx(expected["coleman_liau"], abs=1e-9)
-            assert scores.smog == pytest.approx(expected["smog"], abs=1e-9)
-            assert scores.fog == pytest.approx(expected["fog"], abs=1e-9)
-            assert scores.forcast == pytest.approx(expected["forcast"], abs=1e-9)
-            assert scores.lix == pytest.approx(expected["lix"], abs=1e-9)
+            for name, value in expected.items():
+                assert scores[name] == pytest.approx(value, abs=1e-9)
 
 
 class TestTtr:

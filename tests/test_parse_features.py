@@ -26,7 +26,7 @@ def tree(label, *children, log_prob=0.0):
 
 def kbest_of(*log_probs):
     parses = tuple(tree("S", "a", log_prob=lp) for lp in log_probs)
-    return KBestList(parses=parses, requested_k=len(parses) or 1)
+    return KBestList(parses=parses)
 
 
 class TestParseDeviation:
@@ -47,7 +47,7 @@ class TestParseDeviation:
 
     def test_empty_kbest(self):
         with pytest.raises(EmptyKBest):
-            parse_deviation(KBestList(parses=(), requested_k=1), 2)
+            parse_deviation(KBestList(parses=()), 2)
 
     def test_x_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -197,7 +197,7 @@ def random_sentence(rng):
 
 
 class TestSyntacticRatios:
-    EXAMPLE_KB = KBestList(parses=(EXAMPLE,), requested_k=10)
+    EXAMPLE_KB = KBestList(parses=(EXAMPLE,))
 
     def test_names_and_shape(self):
         feats = syntactic_ratios([self.EXAMPLE_KB], 1)
@@ -233,6 +233,6 @@ class TestSyntacticRatios:
     def test_best_parse_of_each_list_is_counted(self):
         # Only parses[0] feeds the constituent features.
         flat = tree("S", tree("VBZ", "runs"))
-        feats = syntactic_ratios([KBestList(parses=(EXAMPLE, flat), requested_k=2)], 1)
+        feats = syntactic_ratios([KBestList(parses=(EXAMPLE, flat))], 1)
         assert feats == syntactic_ratios([self.EXAMPLE_KB], 1) | {
             "pd_2": feats["pd_2"], "pd_10": feats["pd_10"], "pdm_10": feats["pdm_10"]}
