@@ -256,9 +256,10 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    """Rank the rows of every CSV in ``--reports`` whose header has the
-    features, weighted_f1 and macro_f1 columns; other CSVs are skipped, and
-    so is the report this command writes, when ``--out`` is ``--reports``."""
+    """Rank the rows of every regular ``.csv`` file in ``--reports`` whose
+    header has the features, weighted_f1 and macro_f1 columns; every other
+    entry is skipped, and so is the report this command writes, when
+    ``--out`` is ``--reports``."""
     try:
         names = sorted(os.listdir(args.reports))
     except OSError as exc:
@@ -267,7 +268,7 @@ def cmd_report(args) -> int:
     ranked = []
     for name in names:
         path = os.path.join(args.reports, name)
-        if not name.endswith(".csv") or os.path.realpath(path) == own:
+        if not name.endswith(".csv") or not os.path.isfile(path) or os.path.realpath(path) == own:
             continue
         header, rows = csv_rows(path)
         if not set(_SUMMARY_HEADER[:3]) <= set(header):

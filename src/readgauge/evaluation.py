@@ -140,8 +140,11 @@ def size_ablation(
     fold_of = kfold(doc_ids, labels, k=5, seed=seed)
     test_idx = [i for i, d in enumerate(docs) if fold_of[d.doc_id] == 0]
     pool_idx = [i for i, d in enumerate(docs) if fold_of[d.doc_id] != 0]
-    if not sizes or min(sizes) < 1:
-        raise BadSize(f"training sizes must be integers >= 1, got {list(sizes)}")
+    # One document holds one class; the round-robin order below gives any longer
+    # prefix two, when the pool has two.
+    if not sizes or min(sizes) < 2:
+        raise BadSize(f"training sizes must be integers >= 2, since a model needs two classes"
+                      f" and one document has one, got {list(sizes)}")
     repeated = [s for i, s in enumerate(sizes) if s in sizes[:i]]
     if repeated:
         raise BadSize(f"training size {repeated[0]} is repeated in {list(sizes)}")

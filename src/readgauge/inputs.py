@@ -17,6 +17,7 @@ import io
 import logging
 import math
 import os
+import unicodedata
 from typing import Callable, Optional, TextIO
 
 from .errors import BadEncoding, BadOutput, MalformedRow, MissingFile
@@ -121,15 +122,19 @@ def count_field(path: str, rownum: int, column: str, raw: str) -> int:
 def word_rows(path: str, width: Optional[int] = None) -> tuple[list[str], list[tuple[int, str, list[str]]]]:
     """``csv_rows`` of a table keyed by its first column, a word: rows as ``(rownum, word, rest)``.
 
-    The word is stripped and lowercased; an empty one raises ``MalformedRow``
-    naming the file and the row. A word that repeats logs one warning per
-    repeated row, and the caller's last row wins.
+    The header's first column must be named ``word``, so a file without a
+    header cannot lose its first row; otherwise ``MalformedRow``. The word is
+    stripped, NFC-normalized like document text and lowercased; an empty one
+    raises ``MalformedRow`` naming the file and the row. A word that repeats
+    logs one warning per repeated row, and the caller's last row wins.
     """
     header, rows = csv_rows(path, width)
+    if not header or header[0].lower() != "word":
+        raise MalformedRow(f"{path}: first header column must be 'word'")
     keyed = []
     seen: set[str] = set()
     for rownum, row in rows:
-        word = text_field(path, rownum, "word", row[0]).lower()
+        word = unicodedata.normalize("NFC", text_field(path, rownum, "word", row[0])).lower()
         if word in seen:
             log.warning("duplicate word %r in %s (row %d), last wins", word, path, rownum)
         seen.add(word)

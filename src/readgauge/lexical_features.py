@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .textcore import Document, make_document, ratio
 
@@ -11,24 +10,8 @@ MTLD_THRESHOLD = 0.72
 MTLD_MIN_TOKENS = 10
 
 
-@dataclass(frozen=True)
-class SurfaceStats:
-    n_sentences: int
-    n_words: int
-    n_characters: int
-    n_syllables: int
-    words_per_sentence: float
-    syllables_per_word: float
-    characters_per_word: float
-    sentences_per_word: float
-    prop_polysyllabic: float
-    prop_monosyllabic: float
-    prop_long_words: float
-    polysyllabic_per_sentence: float
-
-
-def surface_stats(doc: Document) -> SurfaceStats:
-    """Counts and per-unit rates over word tokens; punctuation is excluded.
+def surface_stats(doc: Document) -> dict[str, float]:
+    """Counts and per-unit rates over word tokens, keyed by name; punctuation is excluded.
 
     Polysyllabic means more than two syllables, long means seven or more
     characters; empty denominators follow ``textcore.ratio``.
@@ -42,36 +25,36 @@ def surface_stats(doc: Document) -> SurfaceStats:
     mono = sum(1 for t in words if t.syllables == 1)
     long_words = sum(1 for t in words if t.char_count >= 7)
 
-    return SurfaceStats(
-        n_sentences=n_sentences,
-        n_words=n_words,
-        n_characters=n_characters,
-        n_syllables=n_syllables,
-        words_per_sentence=ratio(n_words, n_sentences),
-        syllables_per_word=ratio(n_syllables, n_words),
-        characters_per_word=ratio(n_characters, n_words),
-        sentences_per_word=ratio(n_sentences, n_words),
-        prop_polysyllabic=ratio(poly, n_words),
-        prop_monosyllabic=ratio(mono, n_words),
-        prop_long_words=ratio(long_words, n_words),
-        polysyllabic_per_sentence=ratio(poly, n_sentences),
-    )
+    return {
+        "n_sentences": n_sentences,
+        "n_words": n_words,
+        "n_characters": n_characters,
+        "n_syllables": n_syllables,
+        "words_per_sentence": ratio(n_words, n_sentences),
+        "syllables_per_word": ratio(n_syllables, n_words),
+        "characters_per_word": ratio(n_characters, n_words),
+        "sentences_per_word": ratio(n_sentences, n_words),
+        "prop_polysyllabic": ratio(poly, n_words),
+        "prop_monosyllabic": ratio(mono, n_words),
+        "prop_long_words": ratio(long_words, n_words),
+        "polysyllabic_per_sentence": ratio(poly, n_sentences),
+    }
 
 
-def traditional_scores(stats: SurfaceStats) -> dict[str, float]:
-    """The eight closed-form readability formulas, keyed by column name."""
-    wps = stats.words_per_sentence
-    spw = stats.syllables_per_word
-    cpw = stats.characters_per_word
+def traditional_scores(stats: dict[str, float]) -> dict[str, float]:
+    """The eight closed-form readability formulas over ``surface_stats``, keyed by column name."""
+    wps = stats["words_per_sentence"]
+    spw = stats["syllables_per_word"]
+    cpw = stats["characters_per_word"]
     return {
         "flesch_kincaid": 11.8 * spw + 0.39 * wps - 15.59,
         "flesch": 206.835 - 1.015 * wps - 84.6 * spw,
         "automated_readability_index": 4.71 * cpw + 0.5 * wps - 21.43,
-        "coleman_liau": -29.5873 * stats.sentences_per_word + 5.8799 * cpw - 15.8007,
-        "smog": 1.0430 * math.sqrt(30.0 * stats.polysyllabic_per_sentence) + 3.1291,
-        "fog": (wps + stats.prop_polysyllabic) * 0.4,
-        "forcast": 20.0 - 15.0 * stats.prop_monosyllabic,
-        "lix": wps + stats.prop_long_words * 100.0,
+        "coleman_liau": -29.5873 * stats["sentences_per_word"] + 5.8799 * cpw - 15.8007,
+        "smog": 1.0430 * math.sqrt(30.0 * stats["polysyllabic_per_sentence"]) + 3.1291,
+        "fog": (wps + stats["prop_polysyllabic"]) * 0.4,
+        "forcast": 20.0 - 15.0 * stats["prop_monosyllabic"],
+        "lix": wps + stats["prop_long_words"] * 100.0,
     }
 
 
@@ -79,10 +62,10 @@ def traditional_features(doc: Document) -> dict[str, float]:
     """The traditional group's columns: four surface counts, then the formulas."""
     stats = surface_stats(doc)
     return {
-        "number_of_sentences": float(stats.n_sentences),
-        "mean_sentence_length": stats.words_per_sentence,
-        "number_of_characters": float(stats.n_characters),
-        "number_of_syllables": float(stats.n_syllables),
+        "number_of_sentences": float(stats["n_sentences"]),
+        "mean_sentence_length": stats["words_per_sentence"],
+        "number_of_characters": float(stats["n_characters"]),
+        "number_of_syllables": float(stats["n_syllables"]),
         **traditional_scores(stats),
     }
 

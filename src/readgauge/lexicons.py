@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from .errors import MalformedRow
 from .inputs import count_field, number_field, word_rows
 from .textcore import Document, mean, ratio
 
@@ -32,8 +31,6 @@ def load_norms(path: str) -> dict[str, dict[str, float]]:
     naming the row, and ``csv_rows`` rejects a column named twice.
     """
     header, rows = word_rows(path)
-    if not header or header[0].lower() != "word":
-        raise MalformedRow(f"{path}: first header column must be 'word'")
     columns = header[1:]
     tables: dict[str, dict[str, float]] = {c: {} for c in columns}
     for rownum, word, ratings in rows:

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import SupportViolation
 from .inputs import text_field, word_rows
@@ -48,18 +47,8 @@ PER_WORD_TAGS = {
 }
 
 
-@dataclass(frozen=True)
-class TaggedSentence:
-    pairs: tuple[tuple[str, str], ...]  # (lowercased word, tag) per word token
-
-
-@dataclass(frozen=True)
-class TaggedDocument:
-    sentences: tuple[TaggedSentence, ...]
-
-    @property
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(p for s in self.sentences for p in s.pairs)
+# One tuple of (lowercased word, tag) pairs per sentence, word tokens only.
+Tagged = tuple[tuple[tuple[str, str], ...], ...]
 
 
 def load_tag_lexicon(path: str) -> dict[str, str]:
@@ -83,7 +72,7 @@ def _suffix_tag(surface: str, position: int) -> str:
     return "NN"
 
 
-def tag(doc: Document, lexicon: dict[str, str]) -> TaggedDocument:
+def tag(doc: Document, lexicon: dict[str, str]) -> Tagged:
     """Tag every word token via lexicon lookup with suffix fallback."""
     sentences = []
     for sent in doc.sentences:
@@ -93,13 +82,17 @@ def tag(doc: Document, lexicon: dict[str, str]) -> TaggedDocument:
             if t is None:
                 t = _suffix_tag(tok.surface, pos)
             pairs.append((tok.lowercased, t))
-        sentences.append(TaggedSentence(pairs=tuple(pairs)))
-    return TaggedDocument(sentences=tuple(sentences))
+        sentences.append(tuple(pairs))
+    return tuple(sentences)
 
 
-def pos_ratios(tagged: TaggedDocument) -> dict[str, float]:
+def _flat(tagged: Tagged) -> list[tuple[str, str]]:
+    return [p for s in tagged for p in s]
+
+
+def pos_ratios(tagged: Tagged) -> dict[str, float]:
     """The full battery of per-word POS ratios and verb-variation measures."""
-    pairs = tagged.pairs
+    pairs = _flat(tagged)
     n = len(pairs)
 
     tag_count = Counter(t for _, t in pairs)
@@ -132,7 +125,7 @@ def pos_ratios(tagged: TaggedDocument) -> dict[str, float]:
     return feats
 
 
-POS_FEATURE_NAMES = list(pos_ratios(TaggedDocument(sentences=())))
+POS_FEATURE_NAMES = list(pos_ratios(()))
 
 
 def _distribution(pairs) -> dict[str, float]:
@@ -156,17 +149,13 @@ def kl_divergence(p: dict[str, float], q: dict[str, float]) -> float:
     return total
 
 
-def pos_deviation(tagged: TaggedDocument) -> float:
+def pos_deviation(tagged: Tagged) -> float:
     """Population std of the document tag-proportion vector (tags present)."""
-    return population_std(list(_distribution(tagged.pairs).values()))
+    return population_std(list(_distribution(_flat(tagged)).values()))
 
 
-def pos_divergence(tagged: TaggedDocument) -> float:
+def pos_divergence(tagged: Tagged) -> float:
     """Mean per-sentence KL divergence from the document tag distribution."""
-    q = _distribution(tagged.pairs)
-    total = sum_in_order(
-        kl_divergence(_distribution(s.pairs), q)
-        for s in tagged.sentences
-        if s.pairs
-    )
-    return ratio(total, len(tagged.sentences))
+    q = _distribution(_flat(tagged))
+    total = sum_in_order(kl_divergence(_distribution(s), q) for s in tagged if s)
+    return ratio(total, len(tagged))

@@ -2,6 +2,7 @@ import os
 import sys
 
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, os.path.dirname(__file__))
 
@@ -11,6 +12,12 @@ from readgauge.grammar import load_grammar
 from readgauge.lexicons import load_norms, load_senses
 from readgauge.pos_features import load_tag_lexicon
 from readgauge.registry import Resources
+
+# Every property test draws the same examples on every run, so a failure in CI
+# replays anywhere; no deadline, since a slow shared runner would trip it, and no
+# example database written into the checkout. Example counts stay per test.
+settings.register_profile("reproducible", derandomize=True, deadline=None, database=None)
+settings.load_profile("reproducible")
 
 
 @pytest.fixture(scope="session")

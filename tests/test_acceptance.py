@@ -30,7 +30,6 @@ from readgauge.errors import NoParse
 from readgauge.evaluation import f1_scores, kfold
 from readgauge.labeling import as_classes
 from readgauge.lexical_features import (
-    SurfaceStats,
     surface_stats,
     traditional_scores,
     ttr_measures,
@@ -40,8 +39,6 @@ from readgauge.parse_features import parse_deviation, parse_deviation_from_max
 from readgauge.pipeline import FeaturePipeline, PipelineConfig
 from readgauge.pos_features import (
     POS_FEATURE_NAMES,
-    TaggedDocument,
-    TaggedSentence,
     kl_divergence,
     pos_divergence,
     pos_ratios,
@@ -87,8 +84,8 @@ def test_acceptance_1_formula_oracles():
         n_mono = sum(1 for t in words if t.syllables == 1)
         n_long = sum(1 for t in words if t.char_count >= 7)
         expected = oracle_traditional(
-            stats.n_sentences, stats.n_words, stats.n_characters,
-            stats.n_syllables, n_poly, n_mono, n_long,
+            stats["n_sentences"], stats["n_words"], stats["n_characters"],
+            stats["n_syllables"], n_poly, n_mono, n_long,
         )
         got = traditional_scores(stats)
         for name, value in got.items():
@@ -106,7 +103,7 @@ def test_acceptance_1_formula_oracles():
 
         pairs = [(w, rng.choice(tags)) for w in tokens]
         expected_pos = oracle_pos_ratios(pairs)
-        got_pos = pos_ratios(TaggedDocument(sentences=(TaggedSentence(pairs=tuple(pairs)),)))
+        got_pos = pos_ratios((tuple(pairs),))
         for name in POS_FEATURE_NAMES:
             if abs(got_pos[name] - expected_pos[name]) > 1e-9:
                 ok, detail = False, f"doc {i}: {name} {got_pos[name]} != {expected_pos[name]}"
@@ -223,7 +220,7 @@ def test_acceptance_3_novel_feature_properties():
 
         # single-sentence POS_div is identically zero
         pairs = tuple((f"w{j}", rng.choice(tags)) for j in range(rng.randint(1, 10)))
-        single = TaggedDocument(sentences=(TaggedSentence(pairs=pairs),))
+        single = (pairs,)
         if pos_divergence(single) > 1e-12:
             ok, detail = False, f"case {i}: single-sentence POS_div != 0"
             break

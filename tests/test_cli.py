@@ -308,6 +308,17 @@ class TestReportCommand:
         rows = read_csv(str(reports / "report.csv"))
         assert [r[0] for r in rows[1:]] == ["setA"]
 
+    def test_directory_named_csv_is_skipped(self, tmp_path):
+        reports = tmp_path / "reports"
+        (reports / "x.csv").mkdir(parents=True)
+        (reports / "a.csv").write_text(
+            "features,weighted_f1,macro_f1,sd_weighted_f1,sd_macro_f1\nsetA,0.5,0.5,0.0,0.0\n",
+            encoding="utf-8",
+        )
+        assert main(["report", "--reports", str(reports), "--out", str(tmp_path / "out")]) == 0
+        rows = read_csv(str(tmp_path / "out" / "report.csv"))
+        assert [r[0] for r in rows[1:]] == ["setA"]
+
 
 def assert_one_error_line(capsys, code):
     lines = capsys.readouterr().err.splitlines()
@@ -678,7 +689,7 @@ class TestInputBoundary:
         line = assert_one_error_line(capsys, "MalformedRow")
         assert "b.csv" in line and "row 2" in line
 
-    @pytest.mark.parametrize("sizes", ["1,x", "", " , ", "-5", "0,10"])
+    @pytest.mark.parametrize("sizes", ["1,x", "", " , ", "-5", "0,10", "1,10"])
     def test_ablate_bad_sizes(self, small_corpus, tmp_path, capsys, sizes):
         code = main([
             "ablate", "--manifest", manifest_of(small_corpus), "--features", "flesch",

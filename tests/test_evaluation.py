@@ -264,7 +264,8 @@ class TestSplitsMatchPerClassLoops:
             fold_of = oracle_kfold(ids, labels, 5, seed)
             test = [i for i, d in enumerate(ids) if fold_of[d] == 0]
             pool = [i for i, d in enumerate(ids) if fold_of[d] != 0]
-            if not pool:  # every id repeats one that fold 0 holds
+            # Every id repeats one that fold 0 holds, or one is left: no size of at least 2 fits.
+            if len(pool) < 2:
                 continue
             order = oracle_stratified_order(pool, labels, random.Random(seed))
             calls = []

@@ -1,10 +1,14 @@
+import unicodedata
+
 import pytest
 
 from readgauge.cli import ingest_corpus, load_scores
 from readgauge.errors import BadEncoding, MalformedRow, MissingFile
 from readgauge.grammar import load_grammar
 from readgauge.inputs import csv_rows, read_text
-from readgauge.lexicons import load_norms
+from readgauge.lexicons import load_norms, load_senses, mean_rating
+from readgauge.pos_features import load_tag_lexicon
+from readgauge.textcore import make_document
 
 BOM = "\ufeff".encode("utf-8")
 
@@ -71,3 +75,19 @@ class TestCsvRows:
         with pytest.raises(MalformedRow) as err:
             csv_rows(path)
         assert "line 2" in str(err.value)
+
+
+class TestWordRows:
+    @pytest.mark.parametrize("load, data", [
+        (load_tag_lexicon, b"cat,NN\ndog,NN\n"),
+        (load_senses, b"cat,1,2,3\ndog,2,0,0\n"),
+    ])
+    def test_table_without_header_rejected(self, tmp_path, load, data):
+        # Read as a header, the first row's word would be lost.
+        with pytest.raises(MalformedRow, match=r"t\.csv: first header column must be 'word'"):
+            load(write(tmp_path / "t.csv", data))
+
+    def test_word_is_nfc_like_document_text(self, tmp_path):
+        nfd = unicodedata.normalize("NFD", "Café")
+        norms = load_norms(write(tmp_path / "n.csv", f"word,aoa\n{nfd},5\n".encode()))
+        assert mean_rating(make_document("d", "Le café est bon."), norms["aoa"]) == (5.0, 0.25)

@@ -8,8 +8,6 @@ from oracles import oracle_pos_ratios
 from readgauge.errors import MalformedRow, MissingFile, SupportViolation
 from readgauge.pos_features import (
     POS_FEATURE_NAMES,
-    TaggedDocument,
-    TaggedSentence,
     kl_divergence,
     load_tag_lexicon,
     pos_deviation,
@@ -21,9 +19,7 @@ from readgauge.textcore import make_document
 
 
 def tagged(*sentences):
-    return TaggedDocument(
-        sentences=tuple(TaggedSentence(pairs=tuple(s)) for s in sentences)
-    )
+    return tuple(tuple(s) for s in sentences)
 
 
 class TestTagLexicon:
@@ -66,34 +62,34 @@ class TestTagger:
     def test_lexicon_hits(self):
         doc = make_document("d", "The dog runs.")
         out = tag(doc, self.LEX)
-        assert out.sentences[0].pairs == (("the", "DT"), ("dog", "NN"), ("runs", "VBZ"))
+        assert out[0] == (("the", "DT"), ("dog", "NN"), ("runs", "VBZ"))
 
     def test_punct_skipped(self):
         doc = make_document("d", "Dog!")
         out = tag(doc, {"dog": "NN"})
-        assert out.pairs == (("dog", "NN"),)
+        assert out == ((("dog", "NN"),),)
 
     def test_suffix_fallbacks(self):
         doc = make_document("d", "Quickly jumping plodded dogs blorp")
         out = tag(doc, {})
-        tags = [t for _, t in out.pairs]
+        tags = [t for _, t in out[0]]
         assert tags == ["RB", "VBG", "VBD", "NNS", "NN"]
 
     def test_capitalized_mid_sentence_is_proper(self):
         doc = make_document("d", "the Smith")
         out = tag(doc, {"the": "DT"})
-        assert out.pairs[1] == ("smith", "NNP")
+        assert out[0][1] == ("smith", "NNP")
 
     def test_suffix_fallback_counts_only_words(self):
         # An opening quote is not a word, so the first word stays NN.
         doc = make_document("d", '"Blorf runs. Blorf runs.')
         out = tag(doc, {"runs": "VBZ"})
-        assert [s.pairs[0] for s in out.sentences] == [("blorf", "NN"), ("blorf", "NN")]
+        assert [s[0] for s in out] == [("blorf", "NN"), ("blorf", "NN")]
 
     def test_sentence_structure_preserved(self):
         doc = make_document("d", "The dog runs. The dog runs.")
         out = tag(doc, self.LEX)
-        assert len(out.sentences) == 2
+        assert len(out) == 2
 
 
 class TestPosRatios:
