@@ -35,7 +35,7 @@ from .grammar import load_grammar
 from .inputs import csv_rows, number_field, read_text, text_field, write_atomic
 from .labeling import as_classes, load_difficulty_order
 from .lexicons import load_norms, load_senses
-from .pipeline import FEATURE_SET_NAMES, MODEL_KINDS, FeaturePipeline, PipelineConfig
+from .pipeline import FEATURE_SET_NAMES, MODEL_KINDS, FeaturePipeline
 from .pos_features import load_tag_lexicon
 from .textcore import Document, make_document, tokenize
 
@@ -184,8 +184,8 @@ def _fused_scores(args) -> Optional[dict[str, list[tuple[str, float]]]]:
 
 
 def _pipeline(args, features: list[str], resources: registry.Resources, scores=None) -> FeaturePipeline:
-    config = PipelineConfig(parse_feature_sets(features), model=args.model, seed=args.seed)
-    return FeaturePipeline(config, resources, scores)
+    return FeaturePipeline(
+        parse_feature_sets(features), resources, model=args.model, seed=args.seed, scores=scores)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -199,7 +199,7 @@ def cmd_synth(args) -> int:
 
 def cmd_extract(args) -> int:
     docs, resources, labels, _ = _load_corpus(args)
-    pipe = FeaturePipeline(PipelineConfig(parse_feature_sets(args.features)), resources)
+    pipe = FeaturePipeline(parse_feature_sets(args.features), resources)
     pipe.fit_vocab(docs)
     values, names = pipe.rows(docs)
     rows = [[doc.doc_id, str(label), *map(_fmt, row)] for doc, label, row in zip(docs, labels, values)]
@@ -227,7 +227,7 @@ def cmd_eval(args) -> int:
     )
     scores_name = f"+scores:{os.path.basename(args.scores)}" if args.scores else ""
     summary_path = _write_csv(args.out, "eval_summary.csv", _SUMMARY_HEADER, [[
-        "+".join(pipe.config.feature_sets) + scores_name, _fmt(report.mean_weighted),
+        "+".join(pipe.feature_sets) + scores_name, _fmt(report.mean_weighted),
         _fmt(report.mean_macro), _fmt(report.sd_weighted), _fmt(report.sd_macro),
     ]])
     _write_csv(
@@ -240,8 +240,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
+    entries = args.sizes.split(",")
     try:
-        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+        if any("_" in s for s in entries):  # int() would read "1_6" as 16
+            raise ValueError
+        sizes = [int(s) for s in entries]
     except ValueError:
         raise BadSize(f"--sizes {args.sizes!r} is not a comma-separated list of integers") from None
     docs, resources, labels, class_order = _load_corpus(args)

@@ -20,7 +20,6 @@ model, so ``extract``, which writes ``rows``, never pays numpy's import.
 from __future__ import annotations
 
 import contextlib
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import registry
@@ -38,26 +37,23 @@ MODEL_KINDS = ("svm", "logistic", "linear")
 FEATURE_SET_NAMES = (*registry.FEATURE_SETS, "word_types")
 
 
-@dataclass
-class PipelineConfig:
-    feature_sets: list[str]
-    model: str = "svm"  # svm | logistic | linear (C=1 svm, no tuning)
-    seed: int = 7
-
-
 class FeaturePipeline:
     def __init__(
         self,
-        config: PipelineConfig,
+        feature_sets: list[str],
         resources: registry.Resources,
+        model: str = "svm",  # svm | logistic | linear (C=1 svm, no tuning)
+        seed: int = 7,
         scores: Optional[dict[str, list[tuple[str, float]]]] = None,
     ):
-        if config.model not in MODEL_KINDS:
-            raise ValueError(f"unknown model kind {config.model!r}")
-        self.config = config
+        if model not in MODEL_KINDS:
+            raise ValueError(f"unknown model kind {model!r}")
+        self.feature_sets = feature_sets
         self.resources = resources
+        self.model_kind = model
+        self.seed = seed
         self.scores = scores
-        static_sets = [s for s in config.feature_sets if s != "word_types"]
+        static_sets = [s for s in feature_sets if s != "word_types"]
         self._static_set = registry.union_sets(static_sets) if static_sets else None
         # Kept across fits: features that do not depend on the fold.
         self._static_cache: dict[str, dict[str, float]] = {}
@@ -76,7 +72,7 @@ class FeaturePipeline:
 
     def _doc_vector(self, doc: Document) -> dict[str, float]:
         feats = dict(self._static_features(doc))
-        if "word_types" in self.config.feature_sets:
+        if "word_types" in self.feature_sets:
             if self.vocab is None:
                 raise MissingResource("word_types requires a fitted vocabulary")
             props = word_type_proportions(doc, self.vocab)
@@ -93,7 +89,7 @@ class FeaturePipeline:
 
         A no-op unless ``word_types`` is among the feature sets.
         """
-        if "word_types" in self.config.feature_sets:
+        if "word_types" in self.feature_sets:
             self.vocab = sorted({tok.lowercased for doc in docs for tok in doc.word_tokens})
 
     def rows(self, docs: Sequence[Document]) -> tuple[list[list[float]], tuple[str, ...]]:
@@ -135,17 +131,17 @@ class FeaturePipeline:
 
         self.fit_vocab(docs)
         X, names = self.matrix(docs)
-        if self.config.model == "logistic":
+        if self.model_kind == "logistic":
             self.model = models.train_logistic(X, labels, names)
         else:  # "linear" is the C=1 linear SVM without tuning
             c = 1.0
             # Under 10 samples are too few to cross-validate the grid meaningfully,
             # and an inner fold that trains on one class cannot score it at all.
-            if self.config.model == "svm" and len(labels) >= 10:
+            if self.model_kind == "svm" and len(labels) >= 10:
                 # Name a column whose mean or std overflows before the grid's folds do.
                 models.standardize(X, names)
                 with contextlib.suppress(DegenerateLabels):
-                    c = models.grid_search_c(X, labels, models.DEFAULT_C_GRID, seed=self.config.seed)
+                    c = models.grid_search_c(X, labels, models.DEFAULT_C_GRID, seed=self.seed)
             self.model = models.train_linear_svm(X, labels, c, names)
 
     def predict(self, docs: Sequence[Document]) -> list[int]:

@@ -6,8 +6,10 @@ feature formulas are recomputed from scratch. The SVM references are the
 plain sequential loops: one fit per C and inner fold, and one public
 ``hinge_loss_grad`` call per epoch. The constituent counter is the earlier
 multi-pass one: a node list, a parent map keyed by ``id()``, an ancestor
-climb per clause and a separate height recursion. The tokenizer is the
-earlier index loop over each whitespace-separated chunk. The k-best chart is
+climb per clause, a separate height recursion, a histogram of every label
+and ``ParseTree.yield_`` for the words. It returns the library's plain dict
+of counts, and the syntactic columns are recomputed from it. The tokenizer is
+the earlier index loop over each whitespace-separated chunk. The k-best chart is
 the earlier loop over every split point of every cell, empty sub-spans
 included.
 The fold assignment and the ablation's training order are the earlier
@@ -36,7 +38,7 @@ from readgauge.models import (
     predict,
     standardize,
 )
-from readgauge.parse_features import CLAUSE_LABELS, ROOT_WRAPPERS, TreeCounts
+from readgauge.parse_features import CLAUSE_LABELS, ROOT_WRAPPERS, WH_PHRASE_LABELS
 from readgauge.textcore import Token, _make_token
 
 
@@ -528,9 +530,13 @@ def _oracle_is_complex_nominal(node: ParseTree) -> bool:
     )
 
 
-def oracle_constituent_counts(tree: ParseTree) -> TreeCounts:
-    """``TreeCounts`` from the node list, an ``id()`` parent map and ancestor climbs."""
-    counts = TreeCounts(labels={})
+def oracle_constituent_counts(tree: ParseTree) -> dict[str, int]:
+    """The library's count dict from the node list, an ``id()`` parent map,
+    ancestor climbs, a histogram of every label and ``ParseTree.yield_``."""
+    counts = {name: 0 for name in (
+        "clauses", "dependent_clauses", "coordinate_clauses", "complex_nominals",
+        "np_children", "vp_children", "pp_children")}
+    labels: dict[str, int] = {}
     nodes = list(_oracle_internal_nodes(tree))
     parents: dict[int, ParseTree] = {}
     for node in nodes:
@@ -539,33 +545,81 @@ def oracle_constituent_counts(tree: ParseTree) -> TreeCounts:
                 parents[id(c)] = node
 
     for node in nodes:
-        counts.labels[node.label] = counts.labels.get(node.label, 0) + 1
+        labels[node.label] = labels.get(node.label, 0) + 1
         if node.label in CLAUSE_LABELS:
-            counts.clauses += 1
+            counts["clauses"] += 1
             # Dependent: dominated by an SBAR somewhere above.
             anc = parents.get(id(node))
             while anc is not None:
                 if anc.label == "SBAR":
-                    counts.dependent_clauses += 1
+                    counts["dependent_clauses"] += 1
                     break
                 anc = parents.get(id(anc))
             parent = parents.get(id(node))
             if parent is not None and any(
                 isinstance(c, ParseTree) and c.label == "CC" for c in parent.children
             ):
-                counts.coordinate_clauses += 1
+                counts["coordinate_clauses"] += 1
         if _oracle_is_complex_nominal(node):
-            counts.complex_nominals += 1
+            counts["complex_nominals"] += 1
         if node.label == "NP":
-            counts.np_children += len(node.children)
+            counts["np_children"] += len(node.children)
         elif node.label == "VP":
-            counts.vp_children += len(node.children)
+            counts["vp_children"] += len(node.children)
         elif node.label == "PP":
-            counts.pp_children += len(node.children)
+            counts["pp_children"] += len(node.children)
 
     units = _oracle_t_unit_roots(tree)
-    counts.t_units = len(units)
-    counts.complex_t_units = sum(1 for u in units if _oracle_has_dependent_clause(u))
-    counts.subtrees = max(len(nodes) - 1, 0)  # proper subtrees, root excluded
-    counts.height = _oracle_height(tree)
+    counts["t_units"] = len(units)
+    counts["complex_t_units"] = sum(1 for u in units if _oracle_has_dependent_clause(u))
+    counts["subtrees"] = max(len(nodes) - 1, 0)  # proper subtrees, root excluded
+    counts["height"] = _oracle_height(tree)
+    counts["words"] = len(tree.yield_)
+    for name, label in (("nps", "NP"), ("vps", "VP"), ("pps", "PP"), ("sbars", "SBAR"),
+                        ("rrcs", "RRC"), ("conjps", "CONJP")):
+        counts[name] = labels.get(label, 0)
+    counts["whps"] = sum(labels.get(label, 0) for label in WH_PHRASE_LABELS)
     return counts
+
+
+def oracle_syntactic_ratios(trees: list[ParseTree], n_sentences: int) -> dict[str, float]:
+    """The 24 constituent columns of ``syntactic_ratios`` (all but the three
+    ambiguity means), each summed over ``oracle_constituent_counts`` longhand."""
+
+    def div(a, b):
+        return a / b if b else 0.0
+
+    per_tree = [oracle_constituent_counts(t) for t in trees]
+
+    def total(name):
+        return sum(c[name] for c in per_tree)
+
+    clauses, t_units, dep = total("clauses"), total("t_units"), total("dependent_clauses")
+    coord, nominals = total("coordinate_clauses"), total("complex_nominals")
+    nps, vps, pps = total("nps"), total("vps"), total("pps")
+    return {
+        "mean_t_unit_length": div(total("words"), t_units),
+        "mean_parse_tree_height": div(total("height"), n_sentences),
+        "subtrees_per_sentence": div(total("subtrees"), n_sentences),
+        "sbars_per_sentence": div(total("sbars"), n_sentences),
+        "nps_per_sentence": div(nps, n_sentences),
+        "vps_per_sentence": div(vps, n_sentences),
+        "pps_per_sentence": div(pps, n_sentences),
+        "mean_np_size": div(total("np_children"), nps),
+        "mean_vp_size": div(total("vp_children"), vps),
+        "mean_pp_size": div(total("pp_children"), pps),
+        "whps_per_sentence": div(total("whps"), n_sentences),
+        "rrcs_per_sentence": div(total("rrcs"), n_sentences),
+        "conjps_per_sentence": div(total("conjps"), n_sentences),
+        "clauses_per_sentence": div(clauses, n_sentences),
+        "t_units_per_sentence": div(t_units, n_sentences),
+        "clauses_per_t_unit": div(clauses, t_units),
+        "complex_t_unit_ratio": div(total("complex_t_units"), t_units),
+        "dependent_clauses_per_clause": div(dep, clauses),
+        "dependent_clauses_per_t_unit": div(dep, t_units),
+        "coordinate_clauses_per_clause": div(coord, clauses),
+        "coordinate_clauses_per_t_unit": div(coord, t_units),
+        "complex_nominals_per_clause": div(nominals, clauses),
+        "complex_nominals_per_t_unit": div(nominals, t_units),
+        "vps_per_t_unit": div(vps, t_units),
+    }

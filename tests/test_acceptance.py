@@ -36,7 +36,7 @@ from readgauge.lexical_features import (
 )
 from readgauge.models import hinge_loss_grad, softmax_loss_grad
 from readgauge.parse_features import parse_deviation, parse_deviation_from_max
-from readgauge.pipeline import FeaturePipeline, PipelineConfig
+from readgauge.pipeline import FeaturePipeline
 from readgauge.pos_features import (
     POS_FEATURE_NAMES,
     kl_divergence,
@@ -410,8 +410,9 @@ def test_acceptance_9_leakage_audit(synth_corpus, tmp_path):
     train = [(d, l) for d, l in zip(docs, labels) if fold_of[d.doc_id] != fold]
 
     def fit_and_hash(train_pairs):
-        cfg = PipelineConfig(feature_sets=["word_types", "flesch"], model="logistic")
-        pipe = FeaturePipeline(cfg, __import__("readgauge.registry", fromlist=["Resources"]).Resources())
+        pipe = FeaturePipeline(
+            ["word_types", "flesch"], __import__("readgauge.registry", fromlist=["Resources"]).Resources(),
+            model="logistic")
         pipe.fit([d for d, _ in train_pairs], [l for _, l in train_pairs])
         h = hashlib.sha256()
         h.update(repr(pipe.vocab).encode())

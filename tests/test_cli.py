@@ -23,7 +23,7 @@ from readgauge.errors import (
     ReadgaugeError,
 )
 from readgauge.labeling import as_classes
-from readgauge.pipeline import FeaturePipeline, PipelineConfig
+from readgauge.pipeline import FeaturePipeline
 from readgauge.registry import Resources
 
 
@@ -567,9 +567,7 @@ class TestExtractMatchesPipeline:
         ]) == 0
         docs = ingest_corpus(manifest_of(small_corpus))
         labels, _ = as_classes([d.label for d in docs])
-        pipe = FeaturePipeline(
-            PipelineConfig(feature_sets=["word_types", "flesch"], model="logistic"), Resources()
-        )
+        pipe = FeaturePipeline(["word_types", "flesch"], Resources(), model="logistic")
         pipe.fit(docs, labels)
         header = read_csv(str(out / "features.csv"))[0]
         assert header == ["doc_id", "label"] + list(pipe.model.feature_names)
@@ -689,7 +687,7 @@ class TestInputBoundary:
         line = assert_one_error_line(capsys, "MalformedRow")
         assert "b.csv" in line and "row 2" in line
 
-    @pytest.mark.parametrize("sizes", ["1,x", "", " , ", "-5", "0,10", "1,10"])
+    @pytest.mark.parametrize("sizes", ["1,x", "", " , ", "-5", "0,10", "1,10", "8,,16", "8,16,", "1_6"])
     def test_ablate_bad_sizes(self, small_corpus, tmp_path, capsys, sizes):
         code = main([
             "ablate", "--manifest", manifest_of(small_corpus), "--features", "flesch",

@@ -28,7 +28,7 @@ from readgauge.models import (
     train_linear_svm,
     train_logistic,
 )
-from readgauge.pipeline import FeaturePipeline, PipelineConfig
+from readgauge.pipeline import FeaturePipeline
 from readgauge.registry import Resources
 from readgauge.textcore import make_document
 
@@ -395,7 +395,7 @@ class TestForkedInnerFolds:
 
         monkeypatch.setattr(models, "grid_search_c", spy_grid)
         monkeypatch.setattr(models, "train_linear_svm", spy_fit)
-        FeaturePipeline(PipelineConfig(feature_sets=["flesch"], model="svm"), Resources()).fit(docs, labels)
+        FeaturePipeline(["flesch"], Resources(), model="svm").fit(docs, labels)
         assert len(raised) == 1 and fitted_c == [1.0]
 
 

@@ -17,7 +17,7 @@ from readgauge.parse_features import (
     syntactic_ratios,
 )
 
-from oracles import oracle_constituent_counts
+from oracles import oracle_constituent_counts, oracle_syntactic_ratios
 
 
 def tree(label, *children, log_prob=0.0):
@@ -93,12 +93,12 @@ EXAMPLE = tree(
 class TestConstituentCounts:
     def test_example_tree(self):
         counts = constituent_counts(EXAMPLE)
-        assert counts.labels["NP"] == 1
-        assert counts.labels["VP"] == 1
-        assert counts.clauses == 1
-        assert counts.t_units == 1
-        assert counts.height == 3
-        assert counts.subtrees == 5
+        assert counts["nps"] == 1
+        assert counts["vps"] == 1
+        assert counts["clauses"] == 1
+        assert counts["t_units"] == 1
+        assert counts["height"] == 3
+        assert counts["subtrees"] == 5
 
     def test_sbar_marks_dependent_clause(self):
         t = tree(
@@ -112,29 +112,29 @@ class TestConstituentCounts:
         )
         counts = constituent_counts(t)
         # the SBAR node itself is a clause label, plus the two S nodes
-        assert counts.clauses == 3
-        assert counts.dependent_clauses == 1
-        assert counts.t_units == 1
-        assert counts.complex_t_units == 1
+        assert counts["clauses"] == 3
+        assert counts["dependent_clauses"] == 1
+        assert counts["t_units"] == 1
+        assert counts["complex_t_units"] == 1
 
     def test_coordinated_clauses_are_separate_t_units(self):
         inner = tree("S", tree("NP", tree("NN", "dog")), tree("VP", tree("VBZ", "runs")))
         t = tree("S", inner, tree("CC", "and"), inner)
         counts = constituent_counts(t)
-        assert counts.t_units == 2
-        assert counts.coordinate_clauses == 2
+        assert counts["t_units"] == 2
+        assert counts["coordinate_clauses"] == 2
 
     def test_complex_nominal(self):
         # NP with more than one child is complex
         counts = constituent_counts(EXAMPLE)
-        assert counts.complex_nominals == 1
+        assert counts["complex_nominals"] == 1
         simple = tree("S", tree("NP", tree("NN", "dog")), tree("VP", tree("VBZ", "runs")))
-        assert constituent_counts(simple).complex_nominals == 0
+        assert constituent_counts(simple)["complex_nominals"] == 0
 
     def test_np_with_pp_child_is_complex(self):
         t = tree("NP", tree("PP", tree("IN", "of"), tree("NP", tree("NN", "dogs"))))
         # single child, but that child is a PP
-        assert constituent_counts(t).complex_nominals >= 1
+        assert constituent_counts(t)["complex_nominals"] >= 1
 
     @pytest.mark.parametrize("sbar_first", [True, False])
     def test_shared_clause_counted_by_its_own_ancestors(self, sbar_first):
@@ -143,8 +143,8 @@ class TestConstituentCounts:
         parents = [tree("SBAR", shared), tree("VP", tree("VBZ", "says"), shared)]
         t = tree("S", *(parents if sbar_first else parents[::-1]))
         counts = constituent_counts(t)
-        assert counts.clauses == 4  # the root S, the SBAR and the shared S twice
-        assert counts.dependent_clauses == 1
+        assert counts["clauses"] == 4  # the root S, the SBAR and the shared S twice
+        assert counts["dependent_clauses"] == 1
 
     def test_equals_multi_pass_oracle_on_random_trees(self):
         rng = random.Random(20)
@@ -153,9 +153,9 @@ class TestConstituentCounts:
         for t in trees:
             counts = constituent_counts(t)
             assert counts == oracle_constituent_counts(t), t
-            totals["dependent"] += counts.dependent_clauses
-            totals["coordinate"] += counts.coordinate_clauses
-            totals["complex_t_units"] += counts.complex_t_units
+            totals["dependent"] += counts["dependent_clauses"]
+            totals["coordinate"] += counts["coordinate_clauses"]
+            totals["complex_t_units"] += counts["complex_t_units"]
             totals["wrapped"] += t.label in ROOT_WRAPPERS
         assert min(totals.values()) > 0, totals
 
@@ -236,3 +236,21 @@ class TestSyntacticRatios:
         feats = syntactic_ratios([KBestList(parses=(EXAMPLE, flat))], 1)
         assert feats == syntactic_ratios([self.EXAMPLE_KB], 1) | {
             "pd_2": feats["pd_2"], "pd_10": feats["pd_10"], "pdm_10": feats["pdm_10"]}
+
+    def test_equals_oracle_on_random_documents(self):
+        # Every column the synth corpus leaves constant must vary here.
+        rng = random.Random(31)
+        nonzero = set()
+        for _ in range(1500):
+            trees = [random_sentence(rng) for _ in range(rng.randint(1, 4))]
+            n_sentences = len(trees) + rng.randint(0, 2)  # some sentences skipped
+            feats = syntactic_ratios([KBestList(parses=(t,)) for t in trees], n_sentences)
+            expected = oracle_syntactic_ratios(trees, n_sentences)
+            ambiguity = {name: feats[name] for name in ("pd_2", "pd_10", "pdm_10")}
+            assert feats == expected | ambiguity, trees
+            nonzero.update(name for name, v in feats.items() if v != 0.0)
+        assert {
+            "sbars_per_sentence", "whps_per_sentence", "rrcs_per_sentence", "conjps_per_sentence",
+            "mean_vp_size", "complex_t_unit_ratio", "dependent_clauses_per_clause",
+            "dependent_clauses_per_t_unit",
+        } <= nonzero

@@ -8,7 +8,7 @@ from oracles import oracle_grid_search_c, oracle_train_svm
 from readgauge import models, registry
 from readgauge.errors import DegenerateLabels, MissingResource, MissingScore, NameCollision
 from readgauge.evaluation import cross_validate, size_ablation
-from readgauge.pipeline import FeaturePipeline, PipelineConfig
+from readgauge.pipeline import FeaturePipeline
 from readgauge.registry import Resources
 from readgauge.textcore import make_document
 
@@ -29,8 +29,7 @@ def corpus():
 
 
 def flesch_pipeline(model="logistic", scores=None):
-    cfg = PipelineConfig(feature_sets=["flesch"], model=model)
-    return FeaturePipeline(cfg, Resources(), scores)
+    return FeaturePipeline(["flesch"], Resources(), model=model, scores=scores)
 
 
 class TestFitPredict:
@@ -49,7 +48,7 @@ class TestFitPredict:
 
     def test_unknown_model_kind(self):
         with pytest.raises(ValueError):
-            FeaturePipeline(PipelineConfig(feature_sets=["flesch"], model="tree"), Resources())
+            FeaturePipeline(["flesch"], Resources(), model="tree")
 
     def test_no_documents(self):
         docs, labels = corpus()
@@ -115,8 +114,7 @@ class TestSvmInnerFoldWithOneClass:
 
 class TestWordTypes:
     def test_vocab_from_training_docs_only(self):
-        cfg = PipelineConfig(feature_sets=["word_types"], model="logistic")
-        pipe = FeaturePipeline(cfg, Resources())
+        pipe = FeaturePipeline(["word_types"], Resources(), model="logistic")
         train = [make_document("a", "apple banana"), make_document("b", "banana cherry")]
         pipe.fit(train, [0, 1])
         assert pipe.vocab == ["apple", "banana", "cherry"]
@@ -126,7 +124,7 @@ class TestWordTypes:
         assert preds[0] in (0, 1)
 
     def test_columns_are_word_proportions(self):
-        pipe = FeaturePipeline(PipelineConfig(feature_sets=["word_types"]), Resources())
+        pipe = FeaturePipeline(["word_types"], Resources())
         doc = make_document("d", "a b a")
         pipe.fit_vocab([doc])
         assert pipe.vocab == ["a", "b"]
@@ -135,8 +133,7 @@ class TestWordTypes:
         assert X[0].tolist() == [pytest.approx(2 / 3), pytest.approx(1 / 3)]
 
     def test_matrix_before_fit_vocab_raises(self):
-        cfg = PipelineConfig(feature_sets=["flesch", "word_types"])
-        pipe = FeaturePipeline(cfg, Resources())
+        pipe = FeaturePipeline(["flesch", "word_types"], Resources())
         with pytest.raises(MissingResource):
             pipe.matrix([make_document("d", "a b a")])
 
@@ -181,11 +178,10 @@ class TestFusion:
 class TestRefitOnePipeline:
     def test_refit_matches_a_fresh_fit(self):
         docs, labels = corpus()
-        cfg = PipelineConfig(feature_sets=["flesch", "word_types"], model="logistic")
-        pipe = FeaturePipeline(cfg, Resources())
+        pipe = FeaturePipeline(["flesch", "word_types"], Resources(), model="logistic")
         pipe.fit(docs[:6], labels[:6])
         pipe.fit(docs, labels)
-        fresh = FeaturePipeline(cfg, Resources())
+        fresh = FeaturePipeline(["flesch", "word_types"], Resources(), model="logistic")
         fresh.fit(docs, labels)
         assert pipe.vocab == fresh.vocab
         assert pipe.model.feature_names == fresh.model.feature_names
