@@ -7,12 +7,25 @@ list matches exhaustive enumeration.
 Binary rules are indexed by their left child, so a cell looks up only the
 rules whose left child is present in the left sub-span.
 
+Each terminal's lexical cell depends on the grammar alone, so the parser
+builds and sorts it once, and every span-1 cell of every sentence is that
+shared dict. Sharing changes no list: the chart reads a cell's lists and
+never mutates them (a merge builds new items, and ``_drop_dominated``
+returns its input or a new list), so each sentence sees the lists a fresh
+build would give, in the same order. The trees share the lexical nodes as
+well: a word that occurs twice in a sentence is one node object at both
+positions. Nodes are immutable values, so only ``id()`` can tell.
+
 Most cells of a sentence are empty, so the chart stores only non-empty
-cells and keeps a split-point index: ``ends[i]`` is the ascending list of
-m whose cell (i, m) is non-empty. Cell (i, j) visits only those m, in
-ascending order, and skips an m whose cell (m, j) is not in the chart, so
-its candidate order, and with it every tie-break, is that of a loop over
-all m from i + 1 to j - 1.
+cells, row by row: ``chart[i]`` maps each m whose cell (i, m) is non-empty
+to that cell. Spans are filled shortest first, so a row's keys come in
+ascending order. Cell (i, j) visits only those m, in that order, and skips
+an m whose cell (m, j) is not in the chart, so its candidate order, and
+with it every tie-break, is that of a loop over all m from i + 1 to j - 1.
+
+When an LHS's products all fit in k, the merge builds every one and sorts
+them by (-log_prob, serial): the heap would pop them all and end with that
+same sort, and no near-tie trimming applies to a list of at most k items.
 
 Exactly tied readings (PP attachments) would pile up past position k, since
 the merge keeps every near-tie of the k-th item. So a cell of a real symbol
@@ -36,6 +49,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional, Union
 
 from .errors import NoParse
@@ -44,7 +58,7 @@ from .grammar import CnfRule, Grammar, binarize_cnf, is_intermediate
 Child = Union["ParseTree", str]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParseTree:
     label: str
     children: tuple[Child, ...]
@@ -58,6 +72,22 @@ class ParseTree:
         out: list[str] = []
         _collect_yield(self, out)
         return tuple(out)
+
+
+_new_node = object.__new__
+_set_label = ParseTree.label.__set__
+_set_children = ParseTree.children.__set__
+_set_log_prob = ParseTree.log_prob.__set__
+
+
+def _node(label: str, children: tuple[Child, ...], log_prob: float) -> ParseTree:
+    """``ParseTree(label, children, log_prob)``, filled through its slots: the
+    frozen dataclass ``__init__`` pays an ``object.__setattr__`` per field."""
+    node = _new_node(ParseTree)
+    _set_label(node, label)
+    _set_children(node, children)
+    _set_log_prob(node, log_prob)
+    return node
 
 
 def _serialize(node: Child) -> str:
@@ -86,6 +116,8 @@ class KBestList:
 # by spaces, so a parent's serial is built from its children's serials.
 Item = tuple[float, str, tuple[Child, ...]]
 
+_ORDER = itemgetter(0, 1)  # an item's sort key: (neg_log_prob, serial)
+
 
 def _item(rule: CnfRule, children: tuple[Child, ...], serial: str) -> Item:
     """The chart item of ``rule`` over ``children``, whose joined serial is ``serial``.
@@ -104,28 +136,36 @@ def _item(rule: CnfRule, children: tuple[Child, ...], serial: str) -> Item:
     if is_intermediate(rule.lhs):
         return (-lp, serial, children)
     label = rule.chain[-1]
-    node = ParseTree(label=label, children=children, log_prob=lp)
+    node = _node(label, children, lp)
     serial = f"({label} {serial})"
     for label, step_lp in zip(reversed(rule.chain[:-1]), reversed(rule.chain_lps)):
         lp = step_lp + lp
-        node = ParseTree(label=label, children=(node,), log_prob=lp)
+        node = _node(label, (node,), lp)
         serial = f"({label} {serial})"
     return (-lp, serial, (node,))
 
 
 class Parser:
-    """Reusable parser holding the binarized form of a grammar."""
+    """Reusable parser holding the binarized form of a grammar and the
+    lexical cell of each terminal, shared by every sentence it parses."""
 
     def __init__(self, grammar: Grammar):
         self.grammar = grammar
         cnf = binarize_cnf(grammar)
-        self.lexical: dict[str, list[CnfRule]] = {}
+        self.lexical: dict[str, dict[str, list[Item]]] = {}
         self.binary_by_left: dict[str, list[CnfRule]] = {}
         for rule in cnf:
             if len(rule.rhs) == 1:
-                self.lexical.setdefault(rule.rhs[0], []).append(rule)
+                tok = rule.rhs[0]
+                cell = self.lexical.setdefault(tok, {})
+                cell.setdefault(rule.lhs, []).append(_item(rule, (tok,), tok))
             else:
                 self.binary_by_left.setdefault(rule.rhs[0], []).append(rule)
+        # Lexical lists stay untruncated; they are bounded by the number of
+        # rules over one terminal.
+        for cell in self.lexical.values():
+            for items in cell.values():
+                items.sort(key=_ORDER)
 
     def kbest(self, tokens: list[str], k: int) -> KBestList:
         if k < 1:
@@ -134,34 +174,26 @@ class Parser:
         if oov:
             raise NoParse(f"tokens not in grammar terminals: {oov}")
         n = len(tokens)
-        chart: dict[tuple[int, int], dict[str, list[Item]]] = {}
         # Every terminal has a lexical rule (a unary one or its @t_ lift), so
         # after the OOV check every span-1 cell is non-empty.
-        ends: list[list[int]] = [[i + 1] for i in range(n)]
-
-        for i, tok in enumerate(tokens):
-            cell: dict[str, list[Item]] = {}
-            for rule in self.lexical[tok]:
-                cell.setdefault(rule.lhs, []).append(_item(rule, (tok,), tok))
-            # Lexical lists stay untruncated; they are bounded by the
-            # number of rules over one terminal.
-            for items in cell.values():
-                items.sort(key=lambda it: (it[0], it[1]))
-            chart[(i, i + 1)] = cell
+        chart: list[dict[int, dict[str, list[Item]]]] = [
+            {i + 1: self.lexical[tok]} for i, tok in enumerate(tokens)]
+        binary_by_left = self.binary_by_left
 
         for span in range(2, n + 1):
             for i in range(0, n - span + 1):
                 j = i + span
+                row = chart[i]
                 # Candidate sources per LHS: (rule, left list, right list).
                 options: dict[str, list[tuple[CnfRule, list[Item], list[Item]]]] = {}
-                # Spans are filled shortest first, so ends[i] holds only
+                # Spans are filled shortest first, so row i holds only
                 # m < j here, in ascending order.
-                for m in ends[i]:
-                    right_cell = chart.get((m, j))
+                for m, left_cell in row.items():
+                    right_cell = chart[m].get(j)
                     if right_cell is None:
                         continue
-                    for b, lefts in chart[(i, m)].items():
-                        for rule in self.binary_by_left.get(b, ()):
+                    for b, lefts in left_cell.items():
+                        for rule in binary_by_left.get(b, ()):
                             rights = right_cell.get(rule.rhs[1])
                             if rights:
                                 options.setdefault(rule.lhs, []).append((rule, lefts, rights))
@@ -170,10 +202,9 @@ class Parser:
                     for lhs, opts in options.items():
                         items = _merge_kbest(opts, k)
                         cell[lhs] = items if is_intermediate(lhs) else _drop_dominated(items, k)
-                    chart[(i, j)] = cell
-                    ends[i].append(j)
+                    row[j] = cell
 
-        root = chart.get((0, n), {}).get(self.grammar.start, [])
+        root = chart[0].get(n, {}).get(self.grammar.start, []) if n else []
         if not root:
             raise NoParse(f"no derivation for {tokens!r} rooted at {self.grammar.start}")
         return KBestList(parses=tuple(item[2][0] for item in root[:k]))
@@ -189,7 +220,13 @@ _TIE_MARGIN = 1e-9
 
 
 def _merge_kbest(options: list[tuple[CnfRule, list[Item], list[Item]]], k: int) -> list[Item]:
-    """Top-k of the union of item products, by lazy heap expansion."""
+    """Top-k of the union of item products: all of them, sorted, when they fit
+    in k, and otherwise by lazy heap expansion."""
+    if sum(len(lefts) * len(rights) for _, lefts, rights in options) <= k:
+        out = [_item(rule, left[2] + right[2], left[1] + " " + right[1])
+               for rule, lefts, rights in options for left in lefts for right in rights]
+        out.sort(key=_ORDER)
+        return out
     heap: list[tuple[float, str, int, int, int, Item]] = []
     seen: set[tuple[int, int, int]] = set()
 
@@ -217,7 +254,7 @@ def _merge_kbest(options: list[tuple[CnfRule, list[Item], list[Item]]], k: int) 
             boundary = max(it[0] for it in out)
         push(oi, li + 1, ri)
         push(oi, li, ri + 1)
-    out.sort(key=lambda it: (it[0], it[1]))
+    out.sort(key=_ORDER)
     # Keep near-ties of the k-th item: a derivation that loses a local
     # last-bit comparison can still head the final list after rebuilding.
     if len(out) > k:

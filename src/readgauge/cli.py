@@ -32,7 +32,7 @@ from .errors import (
 )
 from .evaluation import cross_validate, size_ablation
 from .grammar import load_grammar
-from .inputs import csv_rows, number_field, read_text, text_field, write_atomic
+from .inputs import ascii_int, csv_rows, number_field, read_text, text_field, write_atomic
 from .labeling import as_classes, load_difficulty_order
 from .lexicons import load_norms, load_senses
 from .pipeline import FEATURE_SET_NAMES, MODEL_KINDS, FeaturePipeline
@@ -240,11 +240,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    entries = args.sizes.split(",")
     try:
-        if any("_" in s for s in entries):  # int() would read "1_6" as 16
-            raise ValueError
-        sizes = [int(s) for s in entries]
+        sizes = [ascii_int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise BadSize(f"--sizes {args.sizes!r} is not a comma-separated list of integers") from None
     docs, resources, labels, class_order = _load_corpus(args)
@@ -301,12 +298,12 @@ _FLAGS = {
                               help="feature set name(s) of the baseline"),
     "model": dict(choices=MODEL_KINDS, default="svm"),
     "scores": dict(help="external score CSV for fusion"),
-    "folds": dict(type=int, default=5),
+    "folds": dict(type=ascii_int, default=5),
     "sizes": dict(default="50,100,200,400", help="comma-separated training sizes"),
     "reports": dict(required=True, help="directory of eval summary CSVs"),
-    "docs": dict(type=int, default=600),
-    "classes": dict(type=int, default=3),
-    "seed": dict(type=int, default=7),
+    "docs": dict(type=ascii_int, default=600),
+    "classes": dict(type=ascii_int, default=3),
+    "seed": dict(type=ascii_int, default=7),
     "out": dict(required=True, help="output directory"),
 }
 _CORPUS_FLAGS = (

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import BadProbabilitySum, MalformedRule, UnsupportedRule
-from .inputs import read_text
+from .inputs import ascii_numeral, read_text
 
 PROB_SUM_TOL = 1e-6
 
@@ -137,9 +137,7 @@ def load_grammar(path: str) -> Grammar:
         if not rhs:
             raise MalformedRule(f"{path}:{lineno}: empty RHS")
         try:
-            if "_" in prob_str:  # float() reads digit groups, which no number may hold
-                raise ValueError(prob_str)
-            prob = float(prob_str)
+            prob = float(ascii_numeral(prob_str))
         except ValueError:
             raise MalformedRule(f"{path}:{lineno}: bad probability {prob_str!r}")
         if not (0.0 < prob <= 1.0):

@@ -7,6 +7,8 @@ output file goes through ``write_atomic``, so a path that cannot be written
 ends in ``BadOutput`` and never in a partial file. A CSV field is checked by
 ``text_field``, ``number_field`` or ``count_field``, and a word table's rows
 come from ``word_rows``, so each of their rules raises or warns in one place.
+A number, in a CSV field, a grammar or on the command line, passes
+``ascii_numeral``, and ``ascii_int`` reads the integers.
 """
 
 from __future__ import annotations
@@ -97,11 +99,26 @@ def text_field(path: str, rownum: int, column: str, raw: str) -> str:
     return value
 
 
+def ascii_numeral(raw: str) -> str:
+    """``raw`` if it is ASCII without ``_``, else ``ValueError``: ``int()`` and
+    ``float()`` also read digit groups (``1_6``) and any Unicode decimal digit
+    (``١٦``), and no number readgauge reads may hold either."""
+    if raw.isascii() and "_" not in raw:
+        return raw
+    raise ValueError(f"not an ASCII numeral: {raw!r}")
+
+
+def ascii_int(raw: str) -> int:
+    """``raw`` as ``int()`` reads it, sign and surrounding blanks included, if
+    it is ASCII without ``_``; else ``ValueError``."""
+    return int(ascii_numeral(raw))
+
+
 def number_field(path: str, rownum: int, column: str, raw: str) -> float:
-    """``raw``, without ``_``, as a finite float, else ``MalformedRow`` naming the file, row and column."""
+    """``raw``, ASCII without ``_``, as a finite float, else ``MalformedRow`` naming the file, row and column."""
     try:
-        value = float(raw)
-        if math.isfinite(value) and "_" not in raw:
+        value = float(ascii_numeral(raw))
+        if math.isfinite(value):
             return value
     except ValueError:
         pass
@@ -109,10 +126,10 @@ def number_field(path: str, rownum: int, column: str, raw: str) -> float:
 
 
 def count_field(path: str, rownum: int, column: str, raw: str) -> int:
-    """``raw``, without ``_``, as an int >= 0, else ``MalformedRow`` naming the file, row and column."""
+    """``raw`` as an ``ascii_int`` >= 0, else ``MalformedRow`` naming the file, row and column."""
     try:
-        value = int(raw)
-        if value >= 0 and "_" not in raw:
+        value = ascii_int(raw)
+        if value >= 0:
             return value
     except ValueError:
         pass

@@ -11,7 +11,8 @@ and ``ParseTree.yield_`` for the words. It returns the library's plain dict
 of counts, and the syntactic columns are recomputed from it. The tokenizer is
 the earlier index loop over each whitespace-separated chunk. The k-best chart is
 the earlier loop over every split point of every cell, empty sub-spans
-included.
+included, over lexical cells rebuilt for each sentence. The k-best merge of
+products that all fit in k is every product, built and then sorted.
 The fold assignment and the ablation's training order are the earlier
 per-class loops: a cursor over the shuffled classes, and a position-by-position
 interleave of the shuffled class pools. The mean and population SD are the
@@ -29,7 +30,7 @@ import numpy as np
 from readgauge.cky import KBestList, ParseTree, Parser, _item, _merge_kbest
 from readgauge.errors import NoParse
 from readgauge.evaluation import f1_scores, kfold
-from readgauge.grammar import Grammar, Rule, make_grammar
+from readgauge.grammar import Grammar, Rule, binarize_cnf, make_grammar
 from readgauge.models import (
     SVM_EPOCHS,
     SVM_LR,
@@ -177,11 +178,13 @@ def oracle_kbest(parser: Parser, tokens: list[str], k: int) -> KBestList:
     if oov:
         raise NoParse(f"tokens not in grammar terminals: {oov}")
     n = len(tokens)
+    lexical = [rule for rule in binarize_cnf(parser.grammar) if len(rule.rhs) == 1]
     chart: dict = {}
     for i, tok in enumerate(tokens):
         cell: dict = {}
-        for rule in parser.lexical.get(tok, []):
-            cell.setdefault(rule.lhs, []).append(_item(rule, (tok,), tok))
+        for rule in lexical:
+            if rule.rhs[0] == tok:
+                cell.setdefault(rule.lhs, []).append(_item(rule, (tok,), tok))
         for items in cell.values():
             items.sort(key=lambda it: (it[0], it[1]))
         chart[(i, i + 1)] = cell
@@ -201,6 +204,17 @@ def oracle_kbest(parser: Parser, tokens: list[str], k: int) -> KBestList:
     if not root:
         raise NoParse(f"no derivation for {tokens!r} rooted at {parser.grammar.start}")
     return KBestList(parses=tuple(item[2][0] for item in root[:k]))
+
+
+def oracle_merge_all(options: list) -> list:
+    """Every product of ``options``' ``(rule, lefts, rights)`` triples as a chart
+    item, sorted by (-log_prob, serial): the k-best merge when all fit in k."""
+    products = []
+    for rule, lefts, rights in options:
+        for left in lefts:
+            for right in rights:
+                products.append(_item(rule, left[2] + right[2], left[1] + " " + right[1]))
+    return sorted(products, key=lambda it: (it[0], it[1]))
 
 
 # -- tokenizer oracle (the index loops; tokens built by the library) ----------

@@ -1,12 +1,17 @@
+import copy
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
 
-from oracles import enumerate_derivations, oracle_kbest, random_grammar
-from readgauge.cky import ParseTree, Parser, _drop_dominated
+from oracles import enumerate_derivations, oracle_kbest, oracle_merge_all, random_grammar
+from readgauge import cky, synth
+from readgauge.cky import ParseTree, Parser, _drop_dominated, _item, _merge_kbest, _node
 from readgauge.errors import NoParse
-from readgauge.grammar import Rule, make_grammar
+from readgauge.grammar import Rule, binarize_cnf, make_grammar
+from readgauge.textcore import make_document
 
 
 def rule(lhs, rhs, prob):
@@ -219,6 +224,106 @@ class TestParserReuse:
         second = [p.serialize() for p in parser.kbest(["a"] * 4, 10).parses]
         assert first == second
         assert len(first) == 5  # Catalan(3)
+
+    def test_shared_parser_matches_a_fresh_parser_per_sentence(self, demo_grammar):
+        # Every sentence of one parser reads the same lexical cells; parsing
+        # them in any order must give what a parser of its own gives, and
+        # must leave those cells as they were built.
+        rng = random.Random(3)
+        sentences = []
+        for i in range(6):
+            doc = make_document("d", synth.generate_document_text(rng, f"level_{i % 3}"))
+            sentences += [[t.lowercased for t in s.word_tokens] for s in doc.sentences]
+        pps = ["with the cat", "in the box", "near the tree", "on the road", "with a ball"]
+        for n_pps in range(1, 5):
+            chain = " ".join(["the man sees the dog", *pps[:n_pps]])
+            sentences.append(chain.split())
+            sentences.append(f"{chain} and the girl sees the boy {pps[n_pps]}".split())
+        rng.shuffle(sentences)
+        parser = Parser(demo_grammar)
+        lexical = {tok: {lhs: list(items) for lhs, items in cell.items()}
+                   for tok, cell in parser.lexical.items()}
+
+        def readings(p, toks):
+            try:
+                return [(t.log_prob, t.serialize()) for t in p.kbest(toks, 10).parses]
+            except NoParse:
+                return None
+
+        parsed = 0
+        for toks in sentences:
+            got = readings(parser, toks)
+            assert got == readings(Parser(demo_grammar), toks), toks
+            parsed += got is not None
+        assert parser.lexical == lexical
+        assert parsed > 20 and max(map(len, sentences)) >= 25, (parsed, len(sentences))
+
+
+class TestMergeAllProducts:
+    def test_products_that_fit_in_k_match_the_sorted_reference(self, monkeypatch):
+        # Option lists as real charts merge them, over random grammars; each
+        # merge's triples are sampled and cut to prefixes, which stay sorted.
+        recorded = []
+        merge = cky._merge_kbest
+
+        def record(options, k):
+            recorded.append(options)
+            return merge(options, k)
+
+        monkeypatch.setattr(cky, "_merge_kbest", record)
+        rng = random.Random(61)
+        for _ in range(30):
+            g = random_grammar(rng)
+            parser = Parser(g)
+            terms = sorted(g.terminals)
+            for _ in range(6):
+                try:
+                    parser.kbest([rng.choice(terms) for _ in range(rng.randint(2, 6))], 1000)
+                except NoParse:
+                    pass
+        monkeypatch.undo()
+        single = several = 0
+        for options in recorded:
+            sample = [(rule, lefts[:rng.randint(1, len(lefts))], rights[:rng.randint(1, len(rights))])
+                      for rule, lefts, rights in options if rng.random() < 0.7] or options[:1]
+            expected = oracle_merge_all(sample)
+            # k = 1 whenever the sample has a single product.
+            for k in (len(expected), len(expected) + rng.randint(1, 5)):
+                assert _merge_kbest(sample, k) == expected
+            single += len(expected) == 1
+            several += len(sample) > 1 and len(expected) > 2
+        assert single > 200 and several > 80, (single, several)
+
+
+class TestParseTreeNodes:
+    """``_item`` fills nodes through their slots; they must behave as
+    nodes built by ``ParseTree(...)``."""
+
+    def test_slot_built_node_is_a_frozen_value(self):
+        leaf = ParseTree("DT", ("the",), -0.5)
+        built = _node("NP", (leaf, "dog"), -1.25)
+        made = ParseTree("NP", (leaf, "dog"), -1.25)
+        assert built == made and hash(built) == hash(made)
+        assert type(built) is ParseTree and repr(built) == repr(made)
+        for field in dataclasses.fields(ParseTree):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(built, field.name, getattr(made, field.name))
+        for copied in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+            assert copied == made and hash(copied) == hash(made)
+            assert copied.children[0] == leaf and copied is not built
+
+    def test_item_chain_nodes_equal_constructed_ones(self):
+        # A unary chain S -> NP -> N -> 'a' collapses into one lexical rule
+        # whose item re-expands the chain above the word.
+        g = make_grammar([rule("S", ["NP"], 1.0), rule("NP", ["N"], 0.5), rule("NP", ["c"], 0.5),
+                          rule("N", ["a"], 0.25), rule("N", ["b"], 0.75)])
+        lexical = next(r for r in binarize_cnf(g) if r.lhs == "S" and r.rhs == ("a",))
+        neg_lp, serial, (top,) = _item(lexical, ("a",), "a")
+        n = ParseTree("N", ("a",), math.log(0.25))
+        np_ = ParseTree("NP", (n,), math.log(0.5) + n.log_prob)
+        s = ParseTree("S", (np_,), 0.0 + np_.log_prob)
+        assert top == s and hash(top) == hash(s)
+        assert (neg_lp, serial) == (-s.log_prob, "(S (NP (N a)))")
 
 
 @pytest.fixture

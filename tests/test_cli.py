@@ -687,7 +687,9 @@ class TestInputBoundary:
         line = assert_one_error_line(capsys, "MalformedRow")
         assert "b.csv" in line and "row 2" in line
 
-    @pytest.mark.parametrize("sizes", ["1,x", "", " , ", "-5", "0,10", "1,10", "8,,16", "8,16,", "1_6"])
+    @pytest.mark.parametrize("sizes", [
+        "1,x", "", " , ", "-5", "0,10", "1,10", "8,,16", "8,16,", "1_6", "١٠,٢٠", "8,١٦",
+    ])
     def test_ablate_bad_sizes(self, small_corpus, tmp_path, capsys, sizes):
         code = main([
             "ablate", "--manifest", manifest_of(small_corpus), "--features", "flesch",
@@ -696,6 +698,22 @@ class TestInputBoundary:
         ])
         assert code == 1
         assert_one_error_line(capsys, "BadSize")
+
+    @pytest.mark.parametrize("argv", [
+        "synth --docs 1_2", "synth --docs ١٢ --seed ٣", "synth --classes ٣", "synth --seed ٧",
+        "eval --manifest m.csv --features flesch --folds ٣",
+    ])
+    def test_integer_flags_take_ascii_digits(self, tmp_path, capsys, argv):
+        # int() would read each of these: "1_2" as 12, "١٢" as 12, "٣" as 3.
+        code = main(argv.split() + ["--out", str(tmp_path / "o")])
+        assert code == 1
+        line = assert_one_error_line(capsys, "BadArgument")
+        assert "argument --" in line, line
+        assert not (tmp_path / "o").exists()
+
+    def test_integer_flags_keep_ascii_signs(self, tmp_path, capsys):
+        assert main(["synth", "--docs", "+3", "--seed", "-1", "--out", str(tmp_path / "o")]) == 0
+        assert len(read_csv(str(tmp_path / "o" / "manifest.csv"))) == 4
 
     def test_ablate_repeated_size(self, small_corpus, tmp_path, capsys):
         code = main([

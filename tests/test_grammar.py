@@ -66,6 +66,12 @@ class TestLoadGrammar:
         with pytest.raises(MalformedRule, match=f"g.txt:1: bad probability '{prob}'"):
             load_grammar(write_grammar(tmp_path, f"S -> 'a' # {prob}\n"))
 
+    @pytest.mark.parametrize("prob", ["١.٠", "0.٥", "１"])
+    def test_non_ascii_probability(self, tmp_path, prob):
+        # float() reads every Unicode decimal digit: "١.٠" as 1.0.
+        with pytest.raises(MalformedRule, match=f"g.txt:1: bad probability '{prob}'"):
+            load_grammar(write_grammar(tmp_path, f"S -> 'a' # {prob}\n"))
+
     def test_probability_sum_enforced(self, tmp_path):
         with pytest.raises(BadProbabilitySum):
             load_grammar(write_grammar(tmp_path, "S -> 'a' # 0.5\nS -> 'b' # 0.4\n"))

@@ -5,7 +5,7 @@ import pytest
 from readgauge.cli import ingest_corpus, load_scores
 from readgauge.errors import BadEncoding, MalformedRow, MissingFile
 from readgauge.grammar import load_grammar
-from readgauge.inputs import csv_rows, read_text
+from readgauge.inputs import ascii_int, csv_rows, read_text
 from readgauge.lexicons import load_norms, load_senses, mean_rating
 from readgauge.pos_features import load_tag_lexicon
 from readgauge.textcore import make_document
@@ -91,3 +91,14 @@ class TestWordRows:
         nfd = unicodedata.normalize("NFD", "Café")
         norms = load_norms(write(tmp_path / "n.csv", f"word,aoa\n{nfd},5\n".encode()))
         assert mean_rating(make_document("d", "Le café est bon."), norms["aoa"]) == (5.0, 0.25)
+
+
+class TestAsciiInt:
+    @pytest.mark.parametrize("raw", ["0", "42", "+3", "-3", " 7 ", "007", "\t12\n"])
+    def test_ascii_reads_as_int_does(self, raw):
+        assert ascii_int(raw) == int(raw)
+
+    @pytest.mark.parametrize("raw", ["1_6", "١٢", "٣", "３", "1٠", "3\u00a0", "", "x", "3.0", "0x10"])
+    def test_digit_groups_and_non_ascii_rejected(self, raw):
+        with pytest.raises(ValueError):
+            ascii_int(raw)

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from readgauge.errors import MalformedRow, MissingFile
@@ -35,6 +37,13 @@ class TestLoadNorms:
     def test_digit_group_rating_rejected(self, tmp_path):
         p = write(tmp_path / "n.csv", "word,aoa\ndog,1_5\n")
         with pytest.raises(MalformedRow, match=r"n\.csv: row 2: aoa '1_5' is not a finite number"):
+            load_norms(p)
+
+    @pytest.mark.parametrize("raw", ["٣.٥", "３", "3\u00a0"])
+    def test_non_ascii_rating_rejected(self, tmp_path, raw):
+        # float() reads every Unicode decimal digit and strips Unicode blanks.
+        p = write(tmp_path / "n.csv", f"word,aoa\ndog,3\ncat,{raw}\n")
+        with pytest.raises(MalformedRow, match=rf"n\.csv: row 3: aoa {re.escape(repr(raw))} is not a finite number"):
             load_norms(p)
 
     def test_non_finite_rating_names_row(self, tmp_path):
@@ -131,6 +140,16 @@ class TestSenses:
         p = write(tmp_path / "s.csv", f"word,senses,hypernyms,hyponyms\ndog,1,2,3\ncat,0,{raw},0\n")
         with pytest.raises(MalformedRow, match=rf"s\.csv: row 3: hypernyms '{raw}' is not a non-negative integer"):
             load_senses(p)
+
+    @pytest.mark.parametrize("raw", ["٣", "１٠", "+٣"])
+    def test_non_ascii_count_rejected(self, tmp_path, raw):
+        p = write(tmp_path / "s.csv", f"word,senses,hypernyms,hyponyms\ndog,1,2,3\ncat,0,0,{raw}\n")
+        with pytest.raises(MalformedRow, match=rf"s\.csv: row 3: hyponyms {re.escape(repr(raw))} is not a non-negative integer"):
+            load_senses(p)
+
+    def test_signed_and_padded_ascii_counts_read_as_before(self, tmp_path):
+        p = write(tmp_path / "s.csv", "word,senses,hypernyms,hyponyms\ndog,+2, 3 ,007\n")
+        assert load_senses(p) == {"dog": (2, 3, 7)}
 
     def test_short_header_names_count_by_meaning(self, tmp_path):
         p = write(tmp_path / "s.csv", "word\ndog,1,2,-3\n")
