@@ -26,6 +26,9 @@ with it every tie-break, is that of a loop over all m from i + 1 to j - 1.
 When an LHS's products all fit in k, the merge builds every one and sorts
 them by (-log_prob, serial): the heap would pop them all and end with that
 same sort, and no near-tie trimming applies to a list of at most k items.
+Otherwise a lazy heap walks each option's grid of products as a tree: a pop
+of (li, ri) pushes (li + 1, ri), and (0, ri + 1) too when li is 0, so each
+product has one predecessor and no set is needed to push it only once.
 
 Exactly tied readings (PP attachments) would pile up past position k, since
 the merge keeps every near-tie of the k-th item. So a cell of a real symbol
@@ -228,15 +231,11 @@ def _merge_kbest(options: list[tuple[CnfRule, list[Item], list[Item]]], k: int) 
         out.sort(key=_ORDER)
         return out
     heap: list[tuple[float, str, int, int, int, Item]] = []
-    seen: set[tuple[int, int, int]] = set()
 
     def push(oi: int, li: int, ri: int) -> None:
-        if (oi, li, ri) in seen:
-            return
         rule, lefts, rights = options[oi]
         if li >= len(lefts) or ri >= len(rights):
             return
-        seen.add((oi, li, ri))
         left, right = lefts[li], rights[ri]
         item = _item(rule, left[2] + right[2], left[1] + " " + right[1])
         heapq.heappush(heap, (item[0], item[1], oi, li, ri, item))
@@ -253,7 +252,8 @@ def _merge_kbest(options: list[tuple[CnfRule, list[Item], list[Item]]], k: int) 
         if boundary is None and len(out) == k:
             boundary = max(it[0] for it in out)
         push(oi, li + 1, ri)
-        push(oi, li, ri + 1)
+        if li == 0:
+            push(oi, 0, ri + 1)
     out.sort(key=_ORDER)
     # Keep near-ties of the k-th item: a derivation that loses a local
     # last-bit comparison can still head the final list after rebuilding.

@@ -44,14 +44,6 @@ class NoParse(ReadgaugeError):
     pass
 
 
-class EmptyKBest(ReadgaugeError):
-    pass
-
-
-class SupportViolation(ReadgaugeError):
-    pass
-
-
 class UnknownClass(ReadgaugeError):
     pass
 
@@ -69,10 +61,6 @@ class FeatureMismatch(ReadgaugeError):
 
 
 class NonFiniteFeature(ReadgaugeError):
-    pass
-
-
-class LengthMismatch(ReadgaugeError):
     pass
 
 

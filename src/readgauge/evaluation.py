@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, zip_longest
 from typing import Protocol, Sequence
 
-from .errors import BadSize, LengthMismatch, SizeTooLarge, TooFewSamples
+from .errors import BadSize, SizeTooLarge, TooFewSamples
 from .textcore import Document, mean, ratio, sum_in_order
 
 
@@ -38,7 +38,7 @@ def kfold(doc_ids: Sequence[str], labels: Sequence[int], k: int, seed: int) -> d
     """Deterministic, per-class balanced fold of each document id."""
     n = len(doc_ids)
     if len(labels) != n:
-        raise LengthMismatch(f"{n} ids vs {len(labels)} labels")
+        raise ValueError(f"{n} ids vs {len(labels)} labels")
     if k < 2 or k > n:
         raise TooFewSamples(f"k={k} with n={n}")
     pools = _class_pools(doc_ids, labels, seed)
@@ -68,7 +68,7 @@ def f1_scores(
     predicted), the same ratio as 2·tp / (2·tp + fp + fn).
     """
     if len(y_true) != len(y_pred):
-        raise LengthMismatch(f"{len(y_true)} true vs {len(y_pred)} predicted")
+        raise ValueError(f"{len(y_true)} true vs {len(y_pred)} predicted")
     true, predicted, correct = [0] * n_classes, [0] * n_classes, [0] * n_classes
     for t, p in zip(y_true, y_pred):
         true[t] += 1

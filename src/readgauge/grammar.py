@@ -2,13 +2,15 @@
 
 Grammar files are UTF-8 lines ``LHS -> RHS1 [RHS2 ...] # prob`` with
 single-quoted terminals, ``//`` comments and an optional ``%start SYM``
-directive (otherwise the first rule's LHS is the start symbol).
+directive (otherwise the first rule's LHS is the start symbol). Terminals
+are NFC-normalized, as document text is.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import unicodedata
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -129,7 +131,7 @@ def load_grammar(path: str) -> Grammar:
         rhs = []
         for sym in rhs_str.split():
             if len(sym) >= 3 and sym[0] == "'" and sym[-1] == "'":
-                term = sym[1:-1]
+                term = unicodedata.normalize("NFC", sym[1:-1])
                 terminal_names.add(term)
                 rhs.append(term)
             else:

@@ -12,7 +12,6 @@ reproducible across runs.
 from __future__ import annotations
 
 from .cky import KBestList, ParseTree
-from .errors import EmptyKBest
 from .textcore import mean, population_std, ratio
 
 CLAUSE_LABELS = {"S", "SBAR", "SINV", "SQ"}
@@ -22,7 +21,7 @@ ROOT_WRAPPERS = {"ROOT", "TOP"}
 
 def _top_logprobs(kbest: KBestList, x: int) -> list[float]:
     if not kbest.parses:
-        raise EmptyKBest("k-best list has no parses")
+        raise ValueError("k-best list has no parses")
     if x < 1:
         raise ValueError("x must be >= 1")
     return [t.log_prob for t in kbest.parses[: min(x, len(kbest.parses))]]

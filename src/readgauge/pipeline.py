@@ -147,7 +147,8 @@ class FeaturePipeline:
     def predict(self, docs: Sequence[Document]) -> list[int]:
         from . import models
 
-        assert self.model is not None, "fit before predict"
+        if self.model is None:
+            raise ValueError("fit before predict")
         X, names = self.matrix(docs)
         if X.size == 0 and not docs:
             return []

@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 
-from .errors import SupportViolation
 from .inputs import text_field, word_rows
 from .textcore import Document, population_std, ratio, sum_in_order
 
@@ -144,7 +143,7 @@ def kl_divergence(p: dict[str, float], q: dict[str, float]) -> float:
             continue
         qv = q.get(t, 0.0)
         if qv <= 0.0:
-            raise SupportViolation(f"tag {t!r} has p > 0 but q = 0")
+            raise ValueError(f"tag {t!r} has p > 0 but q = 0")
         total += pv * math.log(pv / qv)
     return total
 

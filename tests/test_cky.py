@@ -259,19 +259,20 @@ class TestParserReuse:
         assert parsed > 20 and max(map(len, sentences)) >= 25, (parsed, len(sentences))
 
 
-class TestMergeAllProducts:
-    def test_products_that_fit_in_k_match_the_sorted_reference(self, monkeypatch):
-        # Option lists as real charts merge them, over random grammars; each
-        # merge's triples are sampled and cut to prefixes, which stay sorted.
-        recorded = []
-        merge = cky._merge_kbest
+@pytest.fixture(scope="class")
+def recorded_merges():
+    """The option lists real charts merge over random grammars, and the state
+    of the generator that drew them, for sampling from them."""
+    recorded = []
+    merge = cky._merge_kbest
 
-        def record(options, k):
-            recorded.append(options)
-            return merge(options, k)
+    def record(options, k):
+        recorded.append(options)
+        return merge(options, k)
 
-        monkeypatch.setattr(cky, "_merge_kbest", record)
-        rng = random.Random(61)
+    rng = random.Random(61)
+    cky._merge_kbest = record
+    try:
         for _ in range(30):
             g = random_grammar(rng)
             parser = Parser(g)
@@ -281,7 +282,17 @@ class TestMergeAllProducts:
                     parser.kbest([rng.choice(terms) for _ in range(rng.randint(2, 6))], 1000)
                 except NoParse:
                     pass
-        monkeypatch.undo()
+    finally:
+        cky._merge_kbest = merge
+    return recorded, rng.getstate()
+
+
+class TestMergeAllProducts:
+    def test_products_that_fit_in_k_match_the_sorted_reference(self, recorded_merges):
+        # Each merge's triples are sampled and cut to prefixes, which stay sorted.
+        recorded, state = recorded_merges
+        rng = random.Random()
+        rng.setstate(state)
         single = several = 0
         for options in recorded:
             sample = [(rule, lefts[:rng.randint(1, len(lefts))], rights[:rng.randint(1, len(rights))])
@@ -293,6 +304,25 @@ class TestMergeAllProducts:
             single += len(expected) == 1
             several += len(sample) > 1 and len(expected) > 2
         assert single > 200 and several > 80, (single, several)
+
+    def test_heap_path_keeps_the_sorted_prefix_through_near_ties(self, recorded_merges):
+        # Below the product count the lazy heap runs. Its keys must be the
+        # reference's through the last product within _TIE_MARGIN of the k-th.
+        # Keys, not items: make_grammar keeps repeated rules, so two products
+        # with one key can differ in which copy of a rule they used.
+        recorded, _ = recorded_merges
+        heap_checks = 0
+        for options in recorded:
+            expected = [cky._ORDER(it) for it in oracle_merge_all(options)]
+            n = len(expected)
+            for k in sorted({1, 2, 3, n // 2, n - 1, n} - {0}):
+                end = k
+                while end < n and expected[end][0] <= expected[k - 1][0] + cky._TIE_MARGIN:
+                    end += 1
+                got = [cky._ORDER(it) for it in _merge_kbest(options, k)]
+                assert got == expected[:end], (k, n)
+                heap_checks += k < n
+        assert heap_checks > 1000, heap_checks
 
 
 class TestParseTreeNodes:

@@ -4,6 +4,7 @@ import os
 import shutil
 import subprocess
 import sys
+import unicodedata
 
 import pytest
 
@@ -631,6 +632,23 @@ class TestInputBoundary:
         line = assert_one_error_line(capsys, "MalformedRule")
         assert "g.txt" in line and "'.'" in line
 
+    def test_grammar_terminal_in_nfd_matches_nfc_document(self, tmp_path):
+        # Document text is NFC-normalized, so the grammar's terminals are too.
+        manifest = write_one_doc_corpus(tmp_path, "Café runs.".encode())
+        outputs = []
+        for form in ("NFD", "NFC"):
+            grammar = tmp_path / f"{form}.txt"
+            grammar.write_text(unicodedata.normalize(form, "S -> 'café' V # 1.0\nV -> 'runs' # 1.0\n"),
+                               encoding="utf-8")
+            out = tmp_path / form
+            assert main(["extract", "--manifest", manifest, "--features", "syntactic",
+                         "--grammar", str(grammar), "--out", str(out)]) == 0
+            outputs.append((out / "features.csv").read_text(encoding="utf-8"))
+        assert outputs[0] == outputs[1]
+        # The one sentence parsed: its S is a clause.
+        header, row = read_csv(tmp_path / "NFD" / "features.csv")
+        assert row[header.index("clauses_per_sentence")] == "1.0"
+
     def test_manifest_field_over_csv_limit(self, tmp_path, capsys):
         manifest = write_one_doc_corpus(tmp_path, b"Hi.")
         with open(manifest, "a", encoding="utf-8") as fh:
@@ -875,9 +893,8 @@ class TestResources:
         assert_one_error_line(capsys, "MissingResource")
 
 
-# Codes the CLI cannot print: the registry catches NoParse, and the other three
-# guard library calls whose inputs the CLI never builds.
-CODES_THE_CLI_CANNOT_PRINT = {"NoParse", "EmptyKBest", "SupportViolation", "LengthMismatch"}
+# The one code the CLI cannot print: the registry catches NoParse.
+CODES_THE_CLI_CANNOT_PRINT = {"NoParse"}
 
 
 def test_readme_names_every_error_code():

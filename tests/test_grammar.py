@@ -1,4 +1,5 @@
 import math
+import unicodedata
 
 import pytest
 
@@ -110,6 +111,16 @@ class TestLoadGrammar:
         assert f"{path}:5:" in str(err.value) and "line 3" in str(err.value)
         # make_grammar keeps copies: the enumeration oracle counts each as a derivation.
         assert len(make_grammar([rule("S", ["a"], 0.5), rule("S", ["a"], 0.5)]).rules) == 2
+
+    def test_terminals_are_nfc_normalized(self, tmp_path):
+        nfd, nfc = unicodedata.normalize("NFD", "café"), unicodedata.normalize("NFC", "café")
+        g = load_grammar(write_grammar(tmp_path, f"S -> '{nfd}' # 1.0\n"))
+        assert g.terminals == {nfc} and g.rules[0].rhs == (nfc,)
+        # Two spellings of one terminal are one rule.
+        path = write_grammar(tmp_path, f"S -> '{nfc}' # 0.5\nS -> '{nfd}' # 0.5\n")
+        with pytest.raises(MalformedRule) as err:
+            load_grammar(path)
+        assert f"{path}:2:" in str(err.value) and "rule repeats line 1" in str(err.value)
 
     @pytest.mark.parametrize("second", ["B", "A"])
     def test_repeated_start_rejected(self, tmp_path, second):

@@ -6,7 +6,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from readgauge.cky import KBestList, ParseTree
-from readgauge.errors import EmptyKBest
 from readgauge.parse_features import (
     CLAUSE_LABELS,
     ROOT_WRAPPERS,
@@ -46,7 +45,7 @@ class TestParseDeviation:
         assert parse_deviation(kbest_of(-1.0, -3.0), 10) == pytest.approx(1.0)
 
     def test_empty_kbest(self):
-        with pytest.raises(EmptyKBest):
+        with pytest.raises(ValueError, match="k-best list has no parses"):
             parse_deviation(KBestList(parses=()), 2)
 
     def test_x_must_be_positive(self):

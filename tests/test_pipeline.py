@@ -57,9 +57,9 @@ class TestFitPredict:
         pipe.fit(docs, labels)
         assert pipe.predict([]) == []
 
-    def test_predict_before_fit_asserts(self):
+    def test_predict_before_fit_raises(self):
         pipe = flesch_pipeline()
-        with pytest.raises(AssertionError):
+        with pytest.raises(ValueError, match="fit before predict"):
             pipe.predict([make_document("d", "Hi.")])
 
 
