@@ -169,23 +169,21 @@ def parse_feature_sets(values: list[str]) -> list[str]:
     return names
 
 
-def _load_corpus(args) -> tuple[list[Document], registry.Resources, list[int], list[str]]:
-    """Documents, resources, class labels and class order of a corpus command."""
+def _load_corpus(args) -> tuple[list[Document], FeaturePipeline, list[int], list[str]]:
+    """Documents, ``--features`` pipeline, class labels and class order of a corpus command."""
     docs = ingest_corpus(args.manifest)
     resources = build_resources(args)
     ordering = load_difficulty_order(args.difficulty_order) if args.difficulty_order else None
     labels, class_order = as_classes([d.label for d in docs], ordering)
-    return docs, resources, labels, class_order
+    return docs, _pipeline(args, args.features, resources), labels, class_order
 
 
-def _fused_scores(args) -> Optional[dict[str, list[tuple[str, float]]]]:
-    """The ``--scores`` table, or None; the pipeline rejects a document it lacks."""
-    return load_scores(args.scores) if args.scores else None
-
-
-def _pipeline(args, features: list[str], resources: registry.Resources, scores=None) -> FeaturePipeline:
-    return FeaturePipeline(
-        parse_feature_sets(features), resources, model=args.model, seed=args.seed, scores=scores)
+def _pipeline(args, features: list[str], resources: registry.Resources) -> FeaturePipeline:
+    """The pipeline a command's flags name; ``--scores``, where given, is loaded here."""
+    flags = vars(args)
+    scores = load_scores(flags["scores"]) if flags.get("scores") else None
+    settings = {k: flags[k] for k in ("model", "seed") if k in flags}
+    return FeaturePipeline(parse_feature_sets(features), resources, scores=scores, **settings)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -198,8 +196,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    docs, resources, labels, _ = _load_corpus(args)
-    pipe = FeaturePipeline(parse_feature_sets(args.features), resources)
+    docs, pipe, labels, _ = _load_corpus(args)
     pipe.fit_vocab(docs)
     values, names = pipe.rows(docs)
     rows = [[doc.doc_id, str(label), *map(_fmt, row)] for doc, label, row in zip(docs, labels, values)]
@@ -210,8 +207,7 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     from .models import save_model
 
-    docs, resources, labels, _ = _load_corpus(args)
-    pipe = _pipeline(args, args.features, resources, _fused_scores(args))
+    docs, pipe, labels, _ = _load_corpus(args)
     pipe.fit(docs, labels)
     out_path = os.path.join(args.out, "model.json")
     save_model(pipe.model, out_path)
@@ -220,8 +216,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    docs, resources, labels, class_order = _load_corpus(args)
-    pipe = _pipeline(args, args.features, resources, _fused_scores(args))
+    docs, pipe, labels, class_order = _load_corpus(args)
     report = cross_validate(
         pipe, docs, labels, n_classes=len(class_order), k=args.folds, seed=args.seed
     )
@@ -244,10 +239,9 @@ def cmd_ablate(args) -> int:
         sizes = [ascii_int(s) for s in args.sizes.split(",")]
     except ValueError:
         raise BadSize(f"--sizes {args.sizes!r} is not a comma-separated list of integers") from None
-    docs, resources, labels, class_order = _load_corpus(args)
+    docs, pipe, labels, class_order = _load_corpus(args)
     curve = size_ablation(
-        _pipeline(args, args.features, resources),
-        _pipeline(args, args.baseline_features, resources),
+        pipe, _pipeline(args, args.baseline_features, pipe.resources),
         sizes, docs, labels, n_classes=len(class_order), seed=args.seed,
     )
     rows = [[str(s), _fmt(w), _fmt(wo)] for s, w, wo in curve]

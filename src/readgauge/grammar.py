@@ -18,6 +18,8 @@ from .errors import BadProbabilitySum, MalformedRule, UnsupportedRule
 from .inputs import ascii_numeral, read_text
 
 PROB_SUM_TOL = 1e-6
+MAX_UNARY_STEPS = 10
+MAX_UNARY_CHAINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -158,7 +160,12 @@ def _unary_closure(
     """All acyclic unary chains A ->* C with per-step log-probs.
 
     Maps each nonterminal A to chains (A, ..., C) ending at a symbol with at
-    least one non-unary rule (or no rules). Raises on unary cycles.
+    least one non-unary rule (or no rules), depth first. Raises
+    ``UnsupportedRule`` as soon as the listing meets a unary cycle, a chain of
+    more than ``MAX_UNARY_STEPS`` steps or more than ``MAX_UNARY_CHAINS``
+    chains of one step or more. The step cap keeps parse trees shallow enough
+    for the recursive tree walkers at 40-word sentences; the chain count can
+    double with each level of unary rules.
     """
     unaries: dict[str, list[Rule]] = {}
     for rule in grammar.rules:
@@ -166,21 +173,23 @@ def _unary_closure(
             unaries.setdefault(rule.lhs, []).append(rule)
 
     closure: dict[str, list[tuple[tuple[str, ...], tuple[float, ...]]]] = {}
-
-    def expand(
-        sym: str, seen: tuple[str, ...]
-    ) -> list[tuple[tuple[str, ...], tuple[float, ...]]]:
-        chains: list[tuple[tuple[str, ...], tuple[float, ...]]] = [((sym,), ())]
-        for rule in unaries.get(sym, []):
-            child = rule.rhs[0]
-            if child in seen:
-                raise UnsupportedRule(f"unary cycle through {child}")
-            for chain, lps in expand(child, seen + (child,)):
-                chains.append(((sym,) + chain, (rule.log_prob,) + lps))
-        return chains
-
-    for nt in grammar.nonterminals:
-        closure[nt] = expand(nt, (nt,))
+    n_chains = 0
+    for nt in sorted(grammar.nonterminals):
+        chains = closure[nt] = []
+        stack: list[tuple[tuple[str, ...], tuple[float, ...]]] = [((nt,), ())]
+        while stack:
+            chain, lps = stack.pop()
+            if chain[-1] in chain[:-1]:
+                raise UnsupportedRule(f"unary cycle through {chain[-1]}")
+            if len(lps) > MAX_UNARY_STEPS:
+                raise UnsupportedRule(
+                    f"unary chain {nt} ->* {chain[-1]} has more than {MAX_UNARY_STEPS} steps")
+            n_chains += bool(lps)
+            if n_chains > MAX_UNARY_CHAINS:
+                raise UnsupportedRule(f"more than {MAX_UNARY_CHAINS} unary chains (at {nt})")
+            chains.append((chain, lps))
+            children = reversed(unaries.get(chain[-1], []))
+            stack.extend((chain + (r.rhs[0],), lps + (r.log_prob,)) for r in children)
     return closure
 
 

@@ -5,13 +5,13 @@ feature matrix: ``fit``, ``predict`` and the ``extract`` command all call
 them, so the columns of a features CSV are the columns a model is fit on.
 Fold-independent features come from ``registry`` and are cached per
 document (they are pure functions of the text); everything fold-dependent
-is fit inside ``fit`` from the training documents only: the word-type
-vocabulary and its ``wt_<word>`` columns, the scaler and the model. Each
-``fit`` replaces them all, so evaluation refits one pipeline fold after fold.
+is fit inside ``fit`` from the training documents only: the state of each
+``FOLD_FITTED`` set (``word_types``: its vocabulary), the scaler and the
+model. Each ``fit`` replaces them all, so evaluation refits one pipeline fold after fold.
 
-Only ``rows`` assembles a row: registry features, ``wt_<word>``, then
-``--scores`` columns. Its rules raise here alone (``MissingScore``,
-``NameCollision``, ``FeatureMismatch``); ``cli.parse_feature_sets`` checks set names.
+Only ``rows`` assembles a row: registry features, the fold-fitted sets' columns
+in the order named, then ``--scores`` columns. Its rules (``MissingScore``,
+``NameCollision``, ``FeatureMismatch``) raise here alone; ``cli.parse_feature_sets`` checks names.
 
 numpy and ``models`` are imported by the methods that build a matrix or a
 model, so ``extract``, which writes ``rows``, never pays numpy's import.
@@ -33,8 +33,13 @@ if TYPE_CHECKING:
 
 MODEL_KINDS = ("svm", "logistic", "linear")
 
-# Every feature set a pipeline accepts: the registry's, plus the word types.
-FEATURE_SET_NAMES = (*registry.FEATURE_SETS, "word_types")
+# Sets fit on training documents: name -> (fit(docs) -> state, columns(state, doc) -> row).
+FOLD_FITTED = {"word_types": (
+    lambda docs: sorted({tok.lowercased for doc in docs for tok in doc.word_tokens}),
+    lambda vocab, doc: {f"wt_{w}": v for w, v in word_type_proportions(doc, vocab).items()},
+)}
+
+FEATURE_SET_NAMES = (*registry.FEATURE_SETS, *FOLD_FITTED)
 
 
 class FeaturePipeline:
@@ -53,11 +58,11 @@ class FeaturePipeline:
         self.model_kind = model
         self.seed = seed
         self.scores = scores
-        static_sets = [s for s in feature_sets if s != "word_types"]
+        static_sets = [s for s in feature_sets if s not in FOLD_FITTED]
         self._static_set = registry.union_sets(static_sets) if static_sets else None
         # Kept across fits: features that do not depend on the fold.
         self._static_cache: dict[str, dict[str, float]] = {}
-        self.vocab: Optional[list[str]] = None
+        self.fitted: dict[str, object] = {}  # fold-fitted set name -> its state
         self.model: Optional[LinearModel] = None
 
     # -- feature assembly ---------------------------------------------------
@@ -72,11 +77,11 @@ class FeaturePipeline:
 
     def _doc_vector(self, doc: Document) -> dict[str, float]:
         feats = dict(self._static_features(doc))
-        if "word_types" in self.feature_sets:
-            if self.vocab is None:
-                raise MissingResource("word_types requires a fitted vocabulary")
-            props = word_type_proportions(doc, self.vocab)
-            feats.update((f"wt_{w}", v) for w, v in props.items())
+        for name in self.feature_sets:
+            if name in FOLD_FITTED:
+                if name not in self.fitted:
+                    raise MissingResource(f"{name} must be fit on training documents first")
+                feats.update(FOLD_FITTED[name][1](self.fitted[name], doc))
         if self.scores is not None:
             for name, value in self.scores[doc.doc_id]:
                 if name in feats:
@@ -85,12 +90,13 @@ class FeaturePipeline:
         return feats
 
     def fit_vocab(self, docs: Sequence[Document]) -> None:
-        """Fit the word-type vocabulary (sorted lowercased word types of ``docs``).
+        """Fit each fold-fitted set among the feature sets on ``docs``, replacing its state."""
+        self.fitted = {s: FOLD_FITTED[s][0](docs) for s in self.feature_sets if s in FOLD_FITTED}
 
-        A no-op unless ``word_types`` is among the feature sets.
-        """
-        if "word_types" in self.feature_sets:
-            self.vocab = sorted({tok.lowercased for doc in docs for tok in doc.word_tokens})
+    @property
+    def vocab(self) -> Optional[list[str]]:
+        """The fitted ``word_types`` vocabulary, or None before a fit."""
+        return self.fitted.get("word_types")
 
     def rows(self, docs: Sequence[Document]) -> tuple[list[list[float]], tuple[str, ...]]:
         """Feature rows of ``docs`` (one list each) and their column names.

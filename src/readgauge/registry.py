@@ -3,9 +3,9 @@
 Each group's column names, in order, are the keys its function returns;
 the registry pairs them with that function in ``GROUPS`` and decides how
 groups form the named sets. Every member of a set resolves to one group;
-groups are computed at most once per document. ``pipeline`` builds
-``word_types`` and the score columns; ``cli.parse_feature_sets`` alone
-checks set names.
+groups are computed at most once per document. Sets fit on training
+documents (``word_types``) are ``pipeline.FOLD_FITTED``'s, and ``pipeline``
+adds the score columns; ``cli.parse_feature_sets`` alone checks set names.
 
 Every set but ``novel_syntactic`` is whole groups in a row: ``flesch`` and
 ``traditional`` are both the ``traditional`` group, ``lexical_diversity`` is

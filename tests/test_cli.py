@@ -632,6 +632,19 @@ class TestInputBoundary:
         line = assert_one_error_line(capsys, "MalformedRule")
         assert "g.txt" in line and "'.'" in line
 
+    def test_grammar_unary_chain_too_long(self, small_corpus, tmp_path, capsys):
+        # Every corpus command builds the parser, even one whose features never parse.
+        symbols = ["S", *(f"N{i}" for i in range(1100))]
+        lines = [f"{a} -> {b} # 1.0" for a, b in zip(symbols, symbols[1:])]
+        grammar = tmp_path / "g.txt"
+        grammar.write_text("\n".join([*lines, f"{symbols[-1]} -> 'a' # 1.0", ""]), encoding="utf-8")
+        code = main([
+            "extract", "--manifest", manifest_of(small_corpus), "--features", "flesch",
+            "--grammar", str(grammar), "--out", str(tmp_path / "x"),
+        ])
+        assert code == 1
+        assert "steps" in assert_one_error_line(capsys, "UnsupportedRule")
+
     def test_grammar_terminal_in_nfd_matches_nfc_document(self, tmp_path):
         # Document text is NFC-normalized, so the grammar's terminals are too.
         manifest = write_one_doc_corpus(tmp_path, "Café runs.".encode())
@@ -971,6 +984,8 @@ class TestImportCost:
             ["synth", "--out", str(corpus), "--docs", "30", "--seed", "7"],
             ["extract", "--manifest", str(corpus / "manifest.csv"), "--features", "linguistic",
              "--out", str(tmp_path / "x")],
+            ["extract", "--manifest", str(corpus / "manifest.csv"), "--features", "word_types",
+             "--out", str(tmp_path / "w")],
         )
         assert imported == {"numpy": False, "numpy.ma": False}
 

@@ -10,6 +10,8 @@ from readgauge.errors import (
     UnsupportedRule,
 )
 from readgauge.grammar import (
+    MAX_UNARY_CHAINS,
+    MAX_UNARY_STEPS,
     Rule,
     binarize_cnf,
     is_intermediate,
@@ -143,6 +145,22 @@ def rule(lhs, rhs, prob):
     return Rule(lhs=lhs, rhs=tuple(rhs), prob=prob)
 
 
+def unary_chain(steps):
+    """S -> N1 -> ... -> N<steps> -> 'a': one unary chain of ``steps`` steps."""
+    symbols = ["S", *(f"N{i}" for i in range(1, steps + 1))]
+    return [rule(a, [b], 1.0) for a, b in zip(symbols, symbols[1:])] + [rule(symbols[-1], ["a"], 1.0)]
+
+
+def unary_ladder(levels, width):
+    """S over ``levels`` levels of ``width`` symbols, each rewriting to every symbol
+    of the next level, so the number of unary chains grows as ``width ** levels``."""
+    names = [[f"L{i}_{j}" for j in range(width)] for i in range(levels)]
+    rules = [rule("S", [s], 1 / width) for s in names[0]]
+    for upper, lower in zip(names, names[1:]):
+        rules += [rule(a, [b], 1 / width) for a in upper for b in lower]
+    return rules + [rule(s, ["a"], 1.0) for s in names[-1]]
+
+
 class TestBinarize:
     def test_already_cnf_passthrough(self):
         g = make_grammar([rule("S", ["A", "B"], 1.0), rule("A", ["a"], 1.0), rule("B", ["b"], 1.0)])
@@ -226,6 +244,25 @@ class TestBinarize:
         ])
         with pytest.raises(UnsupportedRule):
             binarize_cnf(g)
+
+    def test_unary_chain_up_to_the_step_cap(self):
+        top = next(r for r in binarize_cnf(make_grammar(unary_chain(MAX_UNARY_STEPS))) if r.lhs == "S")
+        assert len(top.chain_lps) == MAX_UNARY_STEPS and top.rhs == ("a",)
+        with pytest.raises(UnsupportedRule, match=f"more than {MAX_UNARY_STEPS} steps"):
+            binarize_cnf(make_grammar(unary_chain(MAX_UNARY_STEPS + 1)))
+
+    def test_long_unary_chain_rejected(self):
+        # Longer than Python's default recursion limit of 1,000 frames.
+        with pytest.raises(UnsupportedRule, match=f"more than {MAX_UNARY_STEPS} steps"):
+            binarize_cnf(make_grammar(unary_chain(1100)))
+
+    @pytest.mark.parametrize("levels, width, message", [
+        (12, 2, f"more than {MAX_UNARY_STEPS} steps"),
+        (6, 4, f"more than {MAX_UNARY_CHAINS} unary chains"),
+    ], ids=["deep", "wide"])
+    def test_unary_ladder_rejected(self, levels, width, message):
+        with pytest.raises(UnsupportedRule, match=message):
+            binarize_cnf(make_grammar(unary_ladder(levels, width)))
 
     def test_public_view_is_cnf(self):
         g = make_grammar([

@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from oracles import oracle_grid_search_c, oracle_train_svm
-from readgauge import models, registry
+from readgauge import models, pipeline, registry
 from readgauge.errors import DegenerateLabels, MissingResource, MissingScore, NameCollision
-from readgauge.evaluation import cross_validate, size_ablation
+from readgauge.evaluation import cross_validate, kfold, size_ablation
 from readgauge.pipeline import FeaturePipeline
 from readgauge.registry import Resources
 from readgauge.textcore import make_document
@@ -136,6 +136,56 @@ class TestWordTypes:
         pipe = FeaturePipeline(["flesch", "word_types"], Resources())
         with pytest.raises(MissingResource):
             pipe.matrix([make_document("d", "a b a")])
+
+
+class TestFoldFittedTable:
+    """A second ``FOLD_FITTED`` entry is fit and read like ``word_types``."""
+
+    def add_probe(self, monkeypatch):
+        """A set whose state numbers its fits; returns the ids each fit saw."""
+        seen = []
+
+        def fit(docs):
+            seen.append({d.doc_id for d in docs})
+            return len(seen)
+
+        def columns(state, doc):
+            return {"probe_fit": float(state), "probe_words": float(len(doc.word_tokens))}
+
+        monkeypatch.setitem(pipeline.FOLD_FITTED, "probe", (fit, columns))
+        return seen
+
+    def test_cross_validate_fits_on_each_training_fold(self, monkeypatch):
+        seen = self.add_probe(monkeypatch)
+        docs, labels = corpus()
+        pipe = FeaturePipeline(["flesch", "word_types", "probe"], Resources(), model="logistic")
+        cross_validate(pipe, docs, labels, 2, k=3)
+        fold_of = kfold([d.doc_id for d in docs], labels, k=3, seed=7)
+        assert seen == [{d for d in fold_of if fold_of[d] != fold} for fold in range(3)]
+        assert pipe.fitted["probe"] == 3
+        assert pipe.vocab == sorted({t.lowercased for d in docs for t in d.word_tokens if fold_of[d.doc_id] != 2})
+
+    def test_columns_in_the_order_named(self, monkeypatch):
+        self.add_probe(monkeypatch)
+        docs, labels = corpus()
+        pipe = FeaturePipeline(["flesch", "word_types", "probe"], Resources(), model="logistic")
+        pipe.fit(docs[:6], labels[:6])
+        rows, names = pipe.rows(docs[:1])
+        wt = [f"wt_{w}" for w in pipe.vocab]
+        assert names == (*registry.FEATURE_SETS["flesch"].members, *wt, "probe_fit", "probe_words")
+        assert rows[0][-2:] == [1.0, float(len(docs[0].word_tokens))]
+        pipe.fit(docs, labels)  # the second fit replaces the first one's state
+        assert pipe.model.feature_names[-2:] == ("probe_fit", "probe_words")
+        assert pipe.rows(docs[:1])[0][0][-2] == 2.0
+        probe_first = FeaturePipeline(["probe", "word_types"], Resources())
+        probe_first.fit_vocab(docs)
+        names = probe_first.rows(docs[:1])[1]
+        assert names == ("probe_fit", "probe_words", *(f"wt_{w}" for w in probe_first.vocab))
+
+    def test_rows_before_fit_raise(self, monkeypatch):
+        self.add_probe(monkeypatch)
+        with pytest.raises(MissingResource, match="probe"):
+            FeaturePipeline(["flesch", "probe"], Resources()).rows([make_document("d", "a b")])
 
 
 class TestFusion:

@@ -129,6 +129,17 @@ class TestPosRatios:
         for name in POS_FEATURE_NAMES:
             assert feats[name] == pytest.approx(expected[name], abs=1e-12), name
 
+    def test_verb_forms_match_oracle(self):
+        # Each verb tag occurs a different number of times, so swapped tags show.
+        verbs = ["VB", "VBD", "VBG", "VBN", "VBP", "VBZ"]
+        pairs = [(f"{tag.lower()}{i}", tag) for n, tag in enumerate(verbs, 1) for i in range(n)]
+        pairs += [("the", "DT"), ("dog", "NN"), ("quickly", "RB")]
+        feats = pos_ratios(tagged(pairs))
+        expected = oracle_pos_ratios(pairs)
+        assert [feats[f"{tag.lower()}s_per_word"] for tag in verbs] == [n / 24 for n in range(1, 7)]
+        for name in POS_FEATURE_NAMES:
+            assert feats[name] == pytest.approx(expected[name], abs=1e-12), name
+
 
 class TestKlDivergence:
     def test_example(self):
